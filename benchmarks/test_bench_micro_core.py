@@ -7,15 +7,21 @@ Bellman-Ford schedule recovery, greedy packing, feasibility ILPs and the
 delay computation.
 """
 
+import math
+
+import pytest
+
 from repro.core.conflict import conflict_graph
 from repro.core.delay import path_delay_slots
+from repro.core.engine import SolverEngine
 from repro.core.greedy import greedy_schedule
 from repro.core.ilp import SchedulingProblem, solve_schedule_ilp
 from repro.core.ordering import schedule_from_order
 from repro.core.tree_order import min_delay_tree_order
 from repro.net.routing import gateway_tree
-from repro.net.topology import grid_topology
+from repro.net.topology import grid_topology, random_disk_topology
 from repro.phy.interference import interference_graph
+from repro.phy.models import SinrModel
 
 TOPOLOGY = grid_topology(4, 4)
 DEMANDS = {link: 1 for link in TOPOLOGY.links}
@@ -33,9 +39,36 @@ def test_bench_micro_conflict_graph(benchmark):
     assert graph.number_of_nodes() == TOPOLOGY.num_links()
 
 
+def constant_density_disk(num_nodes):
+    """n nodes on a 100 sqrt(n) m square at 180 m range (~9 neighbours):
+    870 / 1850 / 2736 / 5688 links at n = 100 / 200 / 300 / 600."""
+    return random_disk_topology(num_nodes, radio_range=180.0,
+                                area=100.0 * math.sqrt(num_nodes), seed=0)
+
+
+@pytest.mark.parametrize("num_nodes", [100, 300, 600])
+def test_bench_micro_conflict_index_scaling(benchmark, num_nodes):
+    # cold full-mesh index: sparse kernel, graph materialization, CSR
+    topology = constant_density_disk(num_nodes)
+    index = benchmark.pedantic(
+        lambda: SolverEngine().conflict_index(topology),
+        rounds=3, iterations=1)
+    assert index.num_links == topology.num_links()
+
+
+@pytest.mark.parametrize("num_nodes", [100, 200])
+def test_bench_micro_sinr_conflict_graph(benchmark, num_nodes):
+    # thresholded SINR matrix through the same kernel, ~870 / 1.8k links
+    topology = constant_density_disk(num_nodes)
+    model = SinrModel()
+    graph = benchmark.pedantic(model.conflict_graph, args=(topology,),
+                               rounds=3, iterations=1)
+    assert graph.number_of_nodes() == topology.num_links()
+
+
 def test_bench_micro_interference_graph(benchmark):
-    # Incidence-map construction: work scales with actual interference
-    # edges, not with all O(L^2) link pairs (see repro.phy.interference).
+    # One kernel call: work scales with actual interference edges, not
+    # with all O(L^2) link pairs (see repro.phy.interference).
     graph = benchmark(interference_graph, TOPOLOGY)
     assert graph.number_of_nodes() == TOPOLOGY.num_links()
     assert graph.number_of_edges() > 0

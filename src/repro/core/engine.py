@@ -9,19 +9,18 @@ probe, repair and sweep point as a cold solve:
 
 1. **Cached conflict-graph layer.**  :meth:`SolverEngine.conflict_index`
    returns an immutable :class:`ConflictIndex` -- the conflict graph plus
-   CSR adjacency and the per-node incidence that backs the clique demand
-   bound -- keyed by a topology/links/hops fingerprint and kept in a small
-   LRU, so minslots, repair, distributed validation and analysis share one
-   build per scenario instead of each calling
+   its CSR adjacency -- keyed by a topology/links/hops fingerprint and
+   kept in a small LRU, so minslots, repair, distributed validation and
+   analysis share one build per scenario instead of each calling
    :func:`~repro.core.conflict.conflict_graph` independently.
    :meth:`SolverEngine.interference_index` does the same for the *exact*
    interference relation (:func:`repro.phy.interference.interference_graph`)
    that the distributed DSCH handshake packs against.  Cache *misses* on
    a churning topology are answered incrementally where possible: the
    request is diffed against the last index of the same hops value and
-   only the dirty links are rescanned (:func:`updated_conflict_edges`),
-   turning the per-event quadratic rebuild that used to dominate
-   churn-heavy workloads into work proportional to the change --
+   only the dirty rows of the relation are recomputed
+   (:func:`updated_conflict_edges`), turning the per-event full rebuild
+   into work proportional to the change --
    ``core.engine.delta_updates`` vs ``core.engine.index_builds`` count
    the rebuilds avoided.
 
@@ -72,9 +71,17 @@ from typing import Mapping, Optional, Sequence
 
 import networkx as nx
 import numpy as np
+import scipy.sparse as sp
 
 from repro import obs
-from repro.core.conflict import conflict_graph
+from repro.core.conflict import (
+    checked_links,
+    conflict_graph,
+    link_relation,
+    max_conflict_clique_demand,
+    protocol_reach,
+    relation_graph,
+)
 from repro.core.ilp import (
     DelayConstraint,
     ILPResult,
@@ -200,8 +207,7 @@ class ConflictIndex:
     Wraps the :mod:`networkx` graph every existing consumer expects
     (:attr:`graph`) and adds the precomputed structure repeated solves
     want: CSR adjacency over the canonical link ordering
-    (:attr:`indptr`/:attr:`indices`) and the per-node link incidence
-    backing :meth:`clique_demand_bound`.
+    (:attr:`indptr`/:attr:`indices`, int64, each row sorted).
 
     ``hops`` is the protocol-model distance, or ``None`` for the exact
     interference relation.  Treat instances (and :attr:`graph`) as frozen:
@@ -212,13 +218,13 @@ class ConflictIndex:
     (:attr:`topo_nodes` / :attr:`topo_edges`, undirected sorted pairs).
     The snapshot is what makes *delta updates* possible: a later request
     for a slightly different topology/link set can be diffed against it
-    and answered by rescanning only the dirty links instead of rebuilding
-    the whole quadratic pairwise conflict relation (see
-    :meth:`SolverEngine.delta_index`).
+    and answered by recomputing only the dirty rows of the conflict
+    relation instead of rebuilding all of it (see
+    :func:`updated_conflict_edges`).
     """
 
     __slots__ = ("key", "hops", "links", "graph", "indptr", "indices",
-                 "_positions", "_node_links", "topo_nodes", "topo_edges")
+                 "_positions", "topo_nodes", "topo_edges")
 
     def __init__(self, key: str, hops: Optional[int],
                  graph: nx.Graph,
@@ -232,21 +238,19 @@ class ConflictIndex:
         self.topo_edges = topo_edges
         self.links: tuple[Link, ...] = tuple(sorted(graph.nodes))
         self._positions = {link: i for i, link in enumerate(self.links)}
-        indptr = np.zeros(len(self.links) + 1, dtype=np.int64)
-        flat: list[int] = []
-        for i, link in enumerate(self.links):
-            row = sorted(self._positions[other]
-                         for other in graph.neighbors(link))
-            flat.extend(row)
-            indptr[i + 1] = len(flat)
-        self.indptr = indptr
-        self.indices = np.asarray(flat, dtype=np.int64)
-        node_links: dict[int, list[Link]] = {}
-        for link in self.links:
-            for node in link:
-                node_links.setdefault(node, []).append(link)
-        self._node_links = {node: tuple(ls)
-                            for node, ls in node_links.items()}
+        adj = graph.adj
+        degrees = np.fromiter((len(adj[link]) for link in self.links),
+                              dtype=np.int64, count=len(self.links))
+        cols = np.fromiter((self._positions[other]
+                            for link in self.links for other in adj[link]),
+                           dtype=np.int64, count=int(degrees.sum()))
+        # (data, (row, col)) construction sums duplicates: rows come sorted
+        relation = sp.csr_array(
+            (np.ones(cols.size, dtype=bool),
+             (np.repeat(np.arange(len(self.links)), degrees), cols)),
+            shape=(len(self.links), len(self.links)))
+        self.indptr = relation.indptr.astype(np.int64)
+        self.indices = relation.indices.astype(np.int64)
 
     @property
     def num_links(self) -> int:
@@ -277,18 +281,11 @@ class ConflictIndex:
     def clique_demand_bound(self, demands: Mapping[Link, int]) -> int:
         """The node-induced clique lower bound on frame slots.
 
-        Identical to
-        :func:`~repro.core.conflict.max_conflict_clique_demand` (all links
-        incident to one node mutually conflict under any ``k >= 1`` model),
-        computed from the precomputed incidence.
+        Delegates to :func:`~repro.core.conflict.max_conflict_clique_demand`
+        (all links incident to one node mutually conflict under any
+        ``k >= 1`` model); the bound needs only the demands.
         """
-        per_node: dict[int, int] = {}
-        for link, demand in demands.items():
-            if demand < 0:
-                raise ConfigurationError(f"negative demand on {link}")
-            for node in link:
-                per_node[node] = per_node.get(node, 0) + demand
-        return max(per_node.values()) if per_node else 0
+        return max_conflict_clique_demand(self.graph, demands)
 
 
 def _topology_snapshot(topology: MeshTopology
@@ -299,43 +296,29 @@ def _topology_snapshot(topology: MeshTopology
             frozenset(tuple(sorted(e)) for e in topology.graph.edges))
 
 
-def _ball(neighbors, seeds, cutoff: int) -> set[int]:
-    """Multi-source BFS ball: every node within ``cutoff`` hops of a seed."""
-    seen = set(seeds)
-    frontier = list(seeds)
-    for _ in range(cutoff):
-        if not frontier:
-            break
-        nxt = []
-        for node in frontier:
-            for other in neighbors(node):
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    return seen
-
-
 def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
                            hops: int, link_list: Sequence[Link]
-                           ) -> Optional[set[tuple[Link, Link]]]:
-    """Conflict-edge set for ``(topology, link_list)``, delta-updated.
+                           ) -> Optional[sp.csr_array]:
+    """Conflict relation for ``(topology, link_list)``, delta-updated.
 
     Diffs the request against the ``old`` index's stored topology
     snapshot and link set, identifies the *dirty* links -- added links
     plus links whose endpoints' ``hops - 1`` reach sets may have changed
-    -- and rescans only those rows against the new topology.  Conflict
-    rows between clean links are provably unchanged: under the protocol
-    model, ``conflict(a, b)`` depends only on ``a``'s endpoint reach
-    sets and ``b``'s endpoint identities, so an untouched reach set
-    means an untouched row.
+    -- and recomputes only those rows of the relation, through the same
+    kernel (:func:`~repro.core.conflict.link_relation`) a cold build
+    uses.  Conflict rows between clean links are provably unchanged:
+    under the protocol model, ``conflict(a, b)`` depends only on ``a``'s
+    endpoint reach sets and ``b``'s endpoint identities, so an untouched
+    reach set means an untouched row.
 
     Returns ``None`` when the delta cannot be applied (the old index has
     no snapshot, or its hops differ) or would not pay (more than half
-    the links are dirty -- a rebuild is no slower then).  The returned
-    edge set is *semantically identical* to a cold
-    :func:`~repro.core.conflict.conflict_graph` build: the equivalence
-    is property-tested in ``tests/test_property_mobility.py``.
+    the links are dirty -- a rebuild is no slower then); otherwise the
+    canonical CSR relation over the sorted ``link_list``, *identical* to
+    a cold :func:`~repro.core.conflict.conflict_graph` build (the
+    equivalence is property-tested in ``tests/test_property_mobility.py``).
+    Raises :class:`~repro.errors.ConfigurationError` exactly where a cold
+    build would (the degenerate-hops guard).
     """
     if old.topo_edges is None or old.topo_nodes is None or old.hops != hops:
         return None
@@ -346,65 +329,37 @@ def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
         seeds.add(v)
     old_set = set(old.links)
     new_set = set(link_list)
-    if seeds:
-        old_adj: dict[int, list[int]] = {}
-        for u, v in old.topo_edges:
-            old_adj.setdefault(u, []).append(v)
-            old_adj.setdefault(v, []).append(u)
-        graph = topology.graph
-        dirty_nodes = (_ball(lambda n: old_adj.get(n, ()), seeds, hops - 1)
-                       | _ball(lambda n: (graph.neighbors(n)
-                                          if n in graph else ()),
-                               seeds, hops - 1))
-    else:
-        dirty_nodes = set()
+    # every node within hops - 1 of a seed, in the old or the new graph
+    dirty_nodes = set(seeds)
+    for graph in (nx.Graph(list(old.topo_edges)), topology.graph):
+        sources = seeds.intersection(graph)
+        if sources:
+            dirty_nodes.update(nx.multi_source_dijkstra_path_length(
+                graph, sources, cutoff=hops - 1))
     dirty = {link for link in new_set
              if link not in old_set
              or link[0] in dirty_nodes or link[1] in dirty_nodes}
     if 2 * len(dirty) > len(new_set):
         return None
-    clean = new_set - dirty
-    edges: set[tuple[Link, Link]] = set()
-    for a, b in old.graph.edges:
-        if a in clean and b in clean:
-            edges.add((a, b) if a <= b else (b, a))
-    # Rescan dirty rows against the node -> links incidence: under the
-    # protocol model conflict(a, b) holds iff b touches ``near_a`` (the
-    # shared-endpoint case is subsumed -- reach includes the source), so
-    # the scan is proportional to the rows' output, not to |links|.
-    incidence: dict[int, list[Link]] = {}
-    for link in link_list:
-        incidence.setdefault(link[0], []).append(link)
-        incidence.setdefault(link[1], []).append(link)
-    reach: dict[int, set[int]] = {}
-    graph = topology.graph
-    for a in dirty:
-        near_a: set[int] = set()
-        for node in a:
-            if node not in reach:
-                reach[node] = set(nx.single_source_shortest_path_length(
-                    graph, node, cutoff=hops - 1))
-            near_a |= reach[node]
-        for node in near_a:
-            for b in incidence.get(node, ()):
-                if b != a:
-                    edges.add((a, b) if a <= b else (b, a))
-    return edges
-
-
-def _graph_from_conflicts(link_list: Sequence[Link],
-                          edges: set[tuple[Link, Link]]) -> nx.Graph:
-    """Materialize a conflict graph with the canonical insertion order.
-
-    Nodes in sorted link order, edges in sorted lexicographic order --
-    exactly the order :func:`~repro.core.conflict.conflict_graph`'s
-    pairwise scan produces, so a delta-built graph is indistinguishable
-    from a rebuilt one right down to adjacency iteration order.
-    """
-    graph = nx.Graph()
-    graph.add_nodes_from(link_list)
-    graph.add_edges_from(sorted(edges))
-    return graph
+    positions = {link: i for i, link in enumerate(link_list)}
+    # Clean x clean entries carry over from the old relation...
+    moved = np.array([-1 if link in dirty or link not in new_set
+                      else positions[link] for link in old.links],
+                     dtype=np.int64)
+    old_rows = moved[np.repeat(np.arange(len(old.links)),
+                               np.diff(old.indptr))]
+    old_cols = moved[old.indices]
+    kept = (old_rows >= 0) & (old_cols >= 0)
+    # ... and the dirty rows (with their mirror columns) are recomputed.
+    rows = np.array(sorted(positions[link] for link in dirty),
+                    dtype=np.int64)
+    block = link_relation(topology, link_list,
+                          protocol_reach(topology, hops, link_list), rows=rows)
+    block_rows = np.repeat(rows, np.diff(block.indptr))
+    r = np.concatenate((old_rows[kept], block_rows, block.indices))
+    c = np.concatenate((old_cols[kept], block.indices, block_rows))
+    return sp.csr_array((np.ones(r.size, dtype=bool), (r, c)),
+                        shape=(len(link_list), len(link_list)))
 
 
 class SolverEngine:
@@ -426,8 +381,8 @@ class SolverEngine:
     delta_updates:
         When a :meth:`conflict_index` request misses the cache but a
         previously-built index for the same ``hops`` exists, diff the two
-        and rescan only the dirty links instead of rebuilding the whole
-        pairwise conflict relation (:func:`updated_conflict_edges`).  The
+        and recompute only the dirty rows instead of rebuilding the whole
+        conflict relation (:func:`updated_conflict_edges`).  The
         resulting index is semantically identical to a rebuild;
         ``stats["delta_updates"]`` / the ``core.engine.delta_updates``
         counter record the rebuilds avoided.  Requires ``max_indexes > 0``
@@ -521,86 +476,42 @@ class SolverEngine:
                 f"interference model needs hops >= 1, got {hops}")
         model = coerce_interference(interference,
                                     default_hops=2 if hops is None else hops)
+        link_key = None if links is None else tuple(sorted(set(links)))
         if not isinstance(model, ProtocolModel):
-            return self._model_index(model, topology, links)
+            # Keyed by the model's content token next to the connectivity
+            # fingerprint and kept out of the delta lineage: there is no
+            # delta rule for SINR conflicts (a position change can touch
+            # any pair).  ``index.hops`` is ``None``, like the exact
+            # interference relation's.
+            key = ("conflict", topology_fingerprint(topology),
+                   model.cache_token(topology), link_key)
+            return self._index_for(key, None, lambda: (model.conflict_graph(
+                topology, links=None if link_key is None else list(link_key)),
+                "index_builds"), f"core.interference.{model.kind}_edges")
         hops = model.hops
-        link_key = None if links is None else tuple(sorted(set(links)))
+        lineage = (hops, link_key is None)
         key = ("conflict", topology_fingerprint(topology), hops, link_key)
-        cached = self._indexes.get(key)
-        if cached is not None:
-            self._indexes.move_to_end(key)
-            self.stats["index_hits"] += 1
-            obs.counter("core.engine.index_hits").inc()
-            self._delta_bases[(hops, link_key is None)] = cached
-            return cached
-        if link_key is None:
-            link_list: Sequence[Link] = list(topology.links)
-        else:
-            link_list = list(link_key)
-            for link in link_list:
-                if not topology.has_link(link):
-                    raise ConfigurationError(
-                        f"{link} is not a link of the topology")
-        index: Optional[ConflictIndex] = None
-        base = (self._delta_bases.get((hops, link_key is None))
+        index = self._index_for(
+            key, hops,
+            lambda: self._protocol_graph(topology, hops, link_key, lineage),
+            "core.interference.protocol_edges", topology)
+        if self.max_indexes > 0:
+            self._delta_bases[lineage] = index
+        return index
+
+    def _protocol_graph(self, topology: MeshTopology, hops: int,
+                        link_key: Optional[tuple], lineage: tuple
+                        ) -> tuple[nx.Graph, str]:
+        """A protocol-model miss: delta update if it applies, else cold."""
+        link_list = checked_links(topology, link_key)
+        base = (self._delta_bases.get(lineage)
                 if self.delta_updates and self.max_indexes > 0 else None)
-        if base is not None:
-            edges = updated_conflict_edges(base, topology, hops, link_list)
-            if edges is not None:
-                index = ConflictIndex(
-                    "/".join(map(repr, key)), hops,
-                    _graph_from_conflicts(link_list, edges),
-                    *_topology_snapshot(topology))
-                self.stats["delta_updates"] += 1
-                obs.counter("core.engine.delta_updates").inc()
-        if index is None:
-            index = ConflictIndex(
-                "/".join(map(repr, key)), hops,
-                conflict_graph(topology, hops=hops, links=link_list),
-                *_topology_snapshot(topology))
-            self.stats["index_builds"] += 1
-            obs.counter("core.engine.index_builds").inc()
-        obs.counter("core.interference.protocol_edges").inc(
-            index.num_conflicts)
-        if self.max_indexes > 0:
-            self._indexes[key] = index
-            while len(self._indexes) > self.max_indexes:
-                self._indexes.popitem(last=False)
-            self._delta_bases[(hops, link_key is None)] = index
-        return index
-
-    def _model_index(self, model, topology: MeshTopology,
-                     links: Optional[Sequence[Link]]) -> ConflictIndex:
-        """Index for a non-protocol interference backend (e.g. SINR).
-
-        Keyed by the model's content token next to the connectivity
-        fingerprint; built through the model, cached in the same LRU as
-        protocol indexes but kept out of the delta lineage (there is no
-        delta rule for SINR conflicts -- a position change can touch any
-        pair).  ``index.hops`` is ``None``, like the exact interference
-        relation's.
-        """
-        link_key = None if links is None else tuple(sorted(set(links)))
-        key = ("conflict", topology_fingerprint(topology),
-               model.cache_token(topology), link_key)
-        cached = self._indexes.get(key)
-        if cached is not None:
-            self._indexes.move_to_end(key)
-            self.stats["index_hits"] += 1
-            obs.counter("core.engine.index_hits").inc()
-            return cached
-        graph = model.conflict_graph(
-            topology, links=None if link_key is None else list(link_key))
-        index = ConflictIndex("/".join(map(repr, key)), None, graph)
-        self.stats["index_builds"] += 1
-        obs.counter("core.engine.index_builds").inc()
-        obs.counter(f"core.interference.{model.kind}_edges").inc(
-            index.num_conflicts)
-        if self.max_indexes > 0:
-            self._indexes[key] = index
-            while len(self._indexes) > self.max_indexes:
-                self._indexes.popitem(last=False)
-        return index
+        relation = (None if base is None else
+                    updated_conflict_edges(base, topology, hops, link_list))
+        if relation is None:
+            return (conflict_graph(topology, hops=hops, links=link_list),
+                    "index_builds")
+        return relation_graph(link_list, relation), "delta_updates"
 
     def zone_index(self, base: ConflictIndex,
                    links: Sequence[Link]) -> ConflictIndex:
@@ -620,27 +531,22 @@ class SolverEngine:
         zone = tuple(sorted(set(links)))
         digest = hashlib.sha256(repr(zone).encode()).hexdigest()[:16]
         key = ("zone", base.key, digest)
-        cached = self._zone_indexes.get(key)
-        if cached is not None:
-            self._zone_indexes.move_to_end(key)
-            self.stats["zone_index_hits"] += 1
-            obs.counter("core.engine.zone_index_hits").inc()
-            return cached
-        for link in zone:
-            base.position(link)  # membership check with the usual error
-        members = set(zone)
-        edges = {(a, b) if a <= b else (b, a)
-                 for a in zone for b in base.neighbors(a) if b in members}
-        index = ConflictIndex("/".join(map(repr, key)), base.hops,
-                              _graph_from_conflicts(zone, edges))
-        self.stats["zone_index_builds"] += 1
-        obs.counter("core.engine.zone_index_builds").inc()
-        if self.max_indexes > 0:
-            self._zone_indexes[key] = index
+        index = self._lru_get(self._zone_indexes, key, "zone_index_hits")
+        if index is None:
+            # base.position doubles as the membership check
+            members = np.array([base.position(link) for link in zone],
+                               dtype=np.int64)
+            relation = sp.csr_array(
+                (np.ones(base.indices.size, dtype=bool), base.indices,
+                 base.indptr), shape=(base.num_links, base.num_links)
+            )[members][:, members].sorted_indices()
+            index = ConflictIndex("/".join(map(repr, key)), base.hops,
+                                  relation_graph(zone, relation))
+            self._count("zone_index_builds")
             # Zones are small and numerous; give them headroom without
             # letting a 5000-link sweep hold every subindex forever.
-            while len(self._zone_indexes) > 4 * self.max_indexes:
-                self._zone_indexes.popitem(last=False)
+            self._lru_put(self._zone_indexes, key, index,
+                          4 * self.max_indexes)
         return index
 
     def interference_index(self, topology: MeshTopology) -> ConflictIndex:
@@ -655,24 +561,48 @@ class SolverEngine:
 
         key = ("interference", topology_fingerprint(topology))
         return self._index_for(
-            key, None, lambda: interference_graph(topology))
+            key, None, lambda: (interference_graph(topology), "index_builds"))
 
-    def _index_for(self, key: tuple, hops: Optional[int],
-                   build) -> ConflictIndex:
-        cached = self._indexes.get(key)
-        if cached is not None:
-            self._indexes.move_to_end(key)
-            self.stats["index_hits"] += 1
-            obs.counter("core.engine.index_hits").inc()
-            return cached
-        index = ConflictIndex("/".join(map(repr, key)), hops, build())
-        self.stats["index_builds"] += 1
-        obs.counter("core.engine.index_builds").inc()
-        if self.max_indexes > 0:
-            self._indexes[key] = index
-            while len(self._indexes) > self.max_indexes:
-                self._indexes.popitem(last=False)
+    def _index_for(self, key: tuple, hops: Optional[int], build,
+                   edges_counter: Optional[str] = None,
+                   topology: Optional[MeshTopology] = None) -> ConflictIndex:
+        """The index cached under ``key``, built on a miss.
+
+        ``build()`` returns the graph and the stat the build counts
+        toward; a ``topology`` is snapshotted into the index for later
+        delta updates.
+        """
+        index = self._lru_get(self._indexes, key, "index_hits")
+        if index is None:
+            graph, stat = build()
+            snapshot = () if topology is None else _topology_snapshot(topology)
+            index = ConflictIndex("/".join(map(repr, key)), hops, graph,
+                                  *snapshot)
+            self._count(stat)
+            if edges_counter is not None:
+                obs.counter(edges_counter).inc(index.num_conflicts)
+            self._lru_put(self._indexes, key, index, self.max_indexes)
         return index
+
+    def _count(self, stat: str) -> None:
+        self.stats[stat] += 1
+        obs.counter(f"core.engine.{stat}").inc()
+
+    def _lru_get(self, cache: OrderedDict, key, hit_stat: str):
+        """The entry under ``key`` (counted as a hit and refreshed), or None."""
+        entry = cache.get(key)
+        if entry is not None:
+            cache.move_to_end(key)
+            self._count(hit_stat)
+        return entry
+
+    @staticmethod
+    def _lru_put(cache: OrderedDict, key, entry, capacity: int) -> None:
+        """Insert, evicting least recently used entries past ``capacity``."""
+        if capacity > 0:
+            cache[key] = entry
+            while len(cache) > capacity:
+                cache.popitem(last=False)
 
     # -- cached ILP layer -----------------------------------------------------
 
@@ -690,19 +620,15 @@ class SolverEngine:
         of the cache key.
         """
         key = canonical_problem_key(problem, time_limit, node_limit)
-        cached = self._problems.get(key)
+        cached = self._lru_get(self._problems, key, "problem_hits")
         if cached is not None:
-            self._problems.move_to_end(key)
-            self.stats["problem_hits"] += 1
-            obs.counter("core.engine.problem_hits").inc()
             return _copy_result(cached)
         result = solve_schedule_ilp(problem, time_limit=time_limit,
                                     node_limit=node_limit)
         self.stats["ilp_solves"] += 1
         if self.max_problems > 0:
-            self._problems[key] = _copy_result(result)
-            while len(self._problems) > self.max_problems:
-                self._problems.popitem(last=False)
+            self._lru_put(self._problems, key, _copy_result(result),
+                          self.max_problems)
         return result
 
     # -- warm-started order certification ------------------------------------

@@ -32,7 +32,13 @@ from typing import Optional, Union
 
 import networkx as nx
 
-from repro.core.conflict import conflict_graph
+from repro.core.conflict import (
+    adjacency,
+    conflict_graph,
+    incidence,
+    link_relation,
+    relation_graph,
+)
 from repro.net.topology import Link, MeshTopology
 
 ModelLike = Union[int, "InterferenceModel", None]  # noqa: F821
@@ -41,37 +47,15 @@ ModelLike = Union[int, "InterferenceModel", None]  # noqa: F821
 def interference_graph(topology: MeshTopology) -> nx.Graph:
     """The exact link-interference relation implied by the channel model.
 
-    Built from the node -> links incidence maps, so the work is
-    proportional to the actual interference edges (the old
-    all-pairs double loop was O(L^2) regardless of the answer --
-    ``test_bench_micro_interference_graph`` tracks the difference).
-    Vertex set, edge set and insertion order are identical to the
-    pairwise scan's.
+    One call of the conflict kernel
+    (:func:`~repro.core.conflict.link_relation`): the reach of a link is
+    its receiver's radio neighbourhood ``S_rx A``, its senders its
+    transmitter.  Vertex set, edge set and insertion order are identical
+    to an i < j pairwise scan's.
     """
     links = topology.links  # sorted directed links
-    graph = nx.Graph()
-    graph.add_nodes_from(links)
-    out_links: dict[int, list[Link]] = {}
-    in_links: dict[int, list[Link]] = {}
-    for link in links:
-        out_links.setdefault(link[0], []).append(link)
-        in_links.setdefault(link[1], []).append(link)
-    for ta, ra in links:
-        link_a = (ta, ra)
-        candidates: set[Link] = set()
-        for node in (ta, ra):  # shared-radio conflicts
-            candidates.update(out_links.get(node, ()))
-            candidates.update(in_links.get(node, ()))
-        for nb in topology.graph[ra]:  # tb in N(ra): collides at a's receiver
-            candidates.update(out_links.get(nb, ()))
-        for nb in topology.graph[ta]:  # ta in N(rb): collides at b's receiver
-            candidates.update(in_links.get(nb, ()))
-        # Emit each undirected edge once, from its smaller endpoint, in
-        # sorted order -- the exact insertion order of an i < j pairwise
-        # scan over the sorted link list.
-        for link_b in sorted(c for c in candidates if c > link_a):
-            graph.add_edge(link_a, link_b)
-    return graph
+    reach = incidence(topology, links, (1,)) @ adjacency(topology)
+    return relation_graph(links, link_relation(topology, links, reach, (0,)))
 
 
 def _model_graph(topology: MeshTopology, hops: int,

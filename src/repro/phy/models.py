@@ -39,9 +39,16 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import networkx as nx
+import numpy as np
+import scipy.sparse as sp
 
 from repro import obs
-from repro.core.conflict import conflict_graph
+from repro.core.conflict import (
+    checked_links,
+    conflict_graph,
+    link_relation,
+    relation_graph,
+)
 from repro.errors import ConfigurationError
 from repro.net.topology import Link, MeshTopology
 
@@ -437,35 +444,39 @@ class SinrModel(InterferenceModel):
 
         Same conventions as :func:`repro.core.conflict.conflict_graph`:
         sorted link vertices, edges inserted in sorted order, subset
-        links validated against the topology.
+        links validated against the topology.  The conflict kernel's reach
+        is the thresholded SINR matrix of :meth:`_disturbed`.
         """
         self._require_positions(topology)
-        if links is None:
-            link_list = list(topology.links)
-        else:
-            link_list = sorted(set(links))
-            for link in link_list:
-                if not topology.has_link(link):
-                    raise ConfigurationError(
-                        f"{link} is not a link of the topology")
+        link_list = checked_links(topology, links)
         rates = self.link_rates(topology, link_list)
-        graph = nx.Graph()
-        graph.add_nodes_from(link_list)
-        edges = 0
-        for i, a in enumerate(link_list):
-            for b in link_list[i + 1:]:
-                if self._conflict(topology, a, b, rates):
-                    graph.add_edge(a, b)
-                    edges += 1
-        obs.counter("phy.sinr.conflict_edges").inc(edges)
-        return graph
+        relation = link_relation(
+            topology, link_list,
+            sp.csr_array(self._disturbed(topology, link_list, rates)), (0,))
+        obs.counter("phy.sinr.conflict_edges").inc(relation.nnz // 2)
+        return relation_graph(link_list, relation)
 
-    def _conflict(self, topology: MeshTopology, a: Link, b: Link,
-                  rates: dict[Link, McsEntry]) -> bool:
-        if set(a) & set(b):
-            return True  # a radio cannot do two things at once
-        return (self.sinr_db(topology, a, b[0]) < rates[a].sinr_min_db
-                or self.sinr_db(topology, b, a[0]) < rates[b].sinr_min_db)
+    def _disturbed(self, topology: MeshTopology, link_list: Sequence[Link],
+                   rates: dict[Link, McsEntry]
+                   ) -> np.ndarray:
+        """The thresholded link x node SINR matrix, nodes in sorted order.
+
+        ``[a, k]`` is :meth:`sinr_db` ``(a, k) < rates[a].sinr_min_db``:
+        every dB value is computed once per node pair with the scalar
+        arithmetic, so each comparison is bit-for-bit the scalar one.
+        """
+        nodes = topology.nodes
+        noise_mw = _dbm_to_mw(self.noise_floor_dbm)
+        floor_db = np.array([
+            [_mw_to_dbm(noise_mw + _dbm_to_mw(self.rss_dbm(topology, k, rx)))
+             for k in nodes] for rx in nodes])
+        signal_db = np.array([
+            _mw_to_dbm(_dbm_to_mw(self.rss_dbm(topology, tx, rx)))
+            for tx, rx in link_list])
+        threshold = np.array([rates[link].sinr_min_db for link in link_list])
+        column = {node: i for i, node in enumerate(nodes)}
+        receivers = [column[rx] for _, rx in link_list]
+        return signal_db[:, None] - floor_db[receivers] < threshold[:, None]
 
     def hidden_node_pairs(self, topology: MeshTopology,
                           links: Optional[Sequence[Link]] = None
@@ -514,16 +525,14 @@ class SinrModel(InterferenceModel):
                 if topology.distance(u, v) <= cs_range:
                     sense.add((u, v))
         rates = self.link_rates(topology)
+        links = topology.links
+        disturbed = self._disturbed(topology, links, rates)
         jam: set[tuple[int, int]] = set()
-        for link in topology.links:
-            threshold = rates[link].sinr_min_db
-            receiver = link[1]
-            neighbours = set(topology.graph[receiver]) | {receiver}
-            for interferer in nodes:
-                if interferer in neighbours:
-                    continue
-                if self.sinr_db(topology, link, interferer) < threshold:
-                    jam.add((interferer, receiver))
+        for a, k in np.argwhere(disturbed).tolist():
+            interferer, receiver = nodes[k], links[a][1]
+            if (interferer != receiver
+                    and interferer not in topology.graph[receiver]):
+                jam.add((interferer, receiver))
         return ChannelCouplings(sense_pairs=frozenset(sense),
                                 jam_pairs=frozenset(jam))
 

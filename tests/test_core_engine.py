@@ -342,3 +342,20 @@ def test_delta_rejected_when_most_links_are_dirty():
     engine.conflict_index(topology, hops=2)
     assert engine.stats["delta_updates"] == 0
     assert engine.stats["index_builds"] == 2
+
+
+def test_delta_update_applies_the_degenerate_hops_guard():
+    # On a 6-chain every link touching the middle edge reaches the whole
+    # mesh within hops - 1 = 2 hops, but (1, 2) misses node 5.  Dropping
+    # (1, 2) from the requested links dirties nothing, so the delta path
+    # answers -- and must reject the now-degenerate request exactly as a
+    # cold build does.
+    topology = chain_topology(6)
+    engine = SolverEngine()
+    engine.conflict_index(topology, hops=3, links=[(1, 2), (2, 3), (3, 2)])
+    with pytest.raises(ConfigurationError, match="degenerates") as delta:
+        engine.conflict_index(topology, hops=3, links=[(2, 3), (3, 2)])
+    with pytest.raises(ConfigurationError) as cold:
+        conflict_graph(topology, hops=3, links=[(2, 3), (3, 2)])
+    assert str(delta.value) == str(cold.value)
+    assert engine.stats["index_builds"] == 1

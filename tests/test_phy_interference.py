@@ -1,8 +1,11 @@
 """Conflict-model vs channel-physics cross-validation."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core.conflict import conflict_graph
+from repro.errors import ConfigurationError
 from repro.phy.interference import (
     interference_graph,
     overcautious_pairs,
@@ -15,6 +18,7 @@ from repro.net.topology import (
     random_disk_topology,
     star_topology,
 )
+from repro.phy.models import SinrModel
 
 TOPOLOGIES = [
     chain_topology(6),
@@ -168,24 +172,82 @@ class TestSinrTruth:
         assert overcautious_pairs(topology, hops=4, truth=SinrModel())
 
 
+#: the oracle's meshes: the coverage set, the 90 m chain of E23 and
+#: 10-node disks of the delta-index property (seed 386 trips the
+#: degenerate-hops guard at hops=3)
+ORACLE_TOPOLOGIES = TOPOLOGIES + [chain_topology(8, spacing=90.0)] + [
+    random_disk_topology(10, radio_range=160.0, area=320.0, seed=seed)
+    for seed in (0, 1, 386)]
+ORACLE_IDS = [t.name for t in TOPOLOGIES] + [
+    "chain8-90m", "disk-s0", "disk-s1", "disk-s386"]
+
+
+def pairwise_scan(links, related):
+    """A relation by its definition: an i < j scan over the sorted links.
+
+    Links sharing a radio always conflict; otherwise ``related(a, b)``
+    decides.
+    """
+    graph = nx.Graph()
+    graph.add_nodes_from(links)
+    for i, a in enumerate(links):
+        for b in links[i + 1:]:
+            if set(a) & set(b) or related(a, b):
+                graph.add_edge(a, b)
+    return graph
+
+
+def assert_same_graph(fast, naive):
+    assert list(fast.nodes) == list(naive.nodes)
+    assert list(fast.edges) == list(naive.edges)
+
+
 class TestIncidenceRewrite:
-    """The incidence-map interference_graph matches the pairwise scan."""
+    """Every relation of the one conflict kernel matches its definition."""
 
-    @pytest.mark.parametrize("topology", TOPOLOGIES,
-                             ids=[t.name for t in TOPOLOGIES])
+    @pytest.mark.parametrize("topology", ORACLE_TOPOLOGIES, ids=ORACLE_IDS)
     def test_matches_naive_pairwise_scan(self, topology):
-        import networkx as nx
+        adjacent = topology.graph
+        naive = pairwise_scan(
+            topology.links,
+            lambda a, b: b[0] in adjacent[a[1]] or a[0] in adjacent[b[1]])
+        assert_same_graph(interference_graph(topology), naive)
 
-        links = topology.links
-        naive = nx.Graph()
-        naive.add_nodes_from(links)
-        for i, a in enumerate(links):
-            for b in links[i + 1:]:
-                ta, ra = a
-                tb, rb = b
-                if (set(a) & set(b) or tb in topology.graph[ra]
-                        or ta in topology.graph[rb]):
-                    naive.add_edge(a, b)
-        fast = interference_graph(topology)
-        assert list(fast.nodes) == list(naive.nodes)
-        assert list(fast.edges) == list(naive.edges)
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    @pytest.mark.parametrize("topology", ORACLE_TOPOLOGIES, ids=ORACLE_IDS)
+    def test_protocol_model_matches_reach_set_scan(self, topology, hops):
+        reach = {node: set(nx.single_source_shortest_path_length(
+                     topology.graph, node, cutoff=hops - 1))
+                 for node in topology.graph}
+        near = {link: reach[link[0]] | reach[link[1]]
+                for link in topology.links}
+        if hops > 2 and all(len(near[link]) == topology.num_nodes()
+                            for link in topology.links):
+            with pytest.raises(ConfigurationError, match="degenerates"):
+                conflict_graph(topology, hops=hops)
+            return
+        naive = pairwise_scan(
+            topology.links,
+            lambda a, b: b[0] in near[a] or b[1] in near[a])
+        assert_same_graph(conflict_graph(topology, hops=hops), naive)
+
+    @pytest.mark.parametrize("cs_multiplier", [1.0, 2.5])
+    @pytest.mark.parametrize("topology", ORACLE_TOPOLOGIES, ids=ORACLE_IDS)
+    def test_sinr_model_matches_scalar_scan(self, topology, cs_multiplier):
+        oracle = SinrModel(cs_multiplier=cs_multiplier)
+        rates = oracle.link_rates(topology)
+
+        def drowned(link, interferer):
+            return (oracle.sinr_db(topology, link, interferer)
+                    < rates[link].sinr_min_db)
+
+        naive = pairwise_scan(
+            topology.links,
+            lambda a, b: drowned(a, b[0]) or drowned(b, a[0]))
+        model = SinrModel(cs_multiplier=cs_multiplier)
+        assert_same_graph(model.conflict_graph(topology), naive)
+        jam = {(node, link[1]) for link in topology.links
+               for node in topology.graph
+               if node != link[1] and node not in topology.graph[link[1]]
+               and drowned(link, node)}
+        assert model.channel_couplings(topology).jam_pairs == jam
