@@ -3,10 +3,11 @@
 Unlike the experiment benches (one-shot table generation), these use
 pytest-benchmark's statistical timing to track the cost of the hot
 primitives a deployment would re-run online: conflict-graph construction,
-Bellman-Ford schedule recovery, greedy packing, feasibility ILPs and the
-delay computation.
+Bellman-Ford schedule recovery, greedy packing, S8 validation, feasibility
+ILPs and the delay computation.
 """
 
+import functools
 import math
 
 import pytest
@@ -48,12 +49,44 @@ def constant_density_disk(num_nodes):
 
 @pytest.mark.parametrize("num_nodes", [100, 300, 600])
 def test_bench_micro_conflict_index_scaling(benchmark, num_nodes):
-    # cold full-mesh index: sparse kernel, graph materialization, CSR
+    # cold full-mesh index: the sparse kernel's CSR, no graph
     topology = constant_density_disk(num_nodes)
     index = benchmark.pedantic(
         lambda: SolverEngine().conflict_index(topology),
         rounds=3, iterations=1)
     assert index.num_links == topology.num_links()
+
+
+@functools.lru_cache(maxsize=None)
+def full_mesh(num_nodes):
+    """The full-mesh index of a constant-density disk, its graph and the
+    unit-demand greedy schedule over every link."""
+    index = SolverEngine().conflict_index(constant_density_disk(num_nodes))
+    demands = {link: 1 for link in index.links}
+    return index, demands, greedy_schedule(index, demands)
+
+
+@pytest.mark.parametrize("form", ["index", "graph"])
+@pytest.mark.parametrize("num_nodes", [100, 300, 600])
+def test_bench_micro_s8_violations_scaling(benchmark, num_nodes, form):
+    # S8 audit of a full-mesh schedule; the graph form adds the
+    # graph -> CSR coercion (as_index) to every call
+    index, _, schedule = full_mesh(num_nodes)
+    conflicts = index if form == "index" else index.graph
+    violations = benchmark.pedantic(schedule.violations, args=(conflicts,),
+                                    rounds=3, iterations=1)
+    assert violations == []
+
+
+@pytest.mark.parametrize("form", ["index", "graph"])
+@pytest.mark.parametrize("num_nodes", [100, 300, 600])
+def test_bench_micro_greedy_scaling(benchmark, num_nodes, form):
+    # first-fit packing of every link of the full mesh
+    index, demands, expected = full_mesh(num_nodes)
+    conflicts = index if form == "index" else index.graph
+    schedule = benchmark.pedantic(greedy_schedule, args=(conflicts, demands),
+                                  rounds=3, iterations=1)
+    assert schedule.to_dict() == expected.to_dict()
 
 
 @pytest.mark.parametrize("num_nodes", [100, 200])

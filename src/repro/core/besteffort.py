@@ -20,6 +20,8 @@ from typing import Mapping, Optional, Sequence
 
 import networkx as nx
 
+from repro.core.conflict import ConflictIndex, as_index
+from repro.core.greedy import earliest_fit
 from repro.core.ilp import DelayConstraint
 from repro.core.minslots import MinSlotResult, minimum_slots
 from repro.core.schedule import Schedule, SlotBlock
@@ -71,7 +73,8 @@ class TwoClassSchedule:
         return granted / asked
 
 
-def pack_best_effort(conflicts: nx.Graph, demands: Mapping[Link, int],
+def pack_best_effort(conflicts: ConflictIndex | nx.Graph,
+                     demands: Mapping[Link, int],
                      region_start: int, frame_slots: int,
                      occupied: Optional[Schedule] = None) -> Schedule:
     """Elastically pack best-effort blocks into ``[region_start, frame)``.
@@ -84,6 +87,7 @@ def pack_best_effort(conflicts: nx.Graph, demands: Mapping[Link, int],
     if not 0 <= region_start <= frame_slots:
         raise ConfigurationError(
             f"region_start {region_start} outside 0..{frame_slots}")
+    conflicts = as_index(conflicts)
     assignments: dict[Link, SlotBlock] = {}
 
     def busy_intervals(link: Link) -> list[tuple[int, int]]:
@@ -108,28 +112,18 @@ def pack_best_effort(conflicts: nx.Graph, demands: Mapping[Link, int],
         if ask <= 0:
             continue
         intervals = busy_intervals(link)
-        best: Optional[SlotBlock] = None
         for length in range(min(ask, frame_slots - region_start), 0, -1):
-            candidate = region_start
-            placed = None
-            for start, end in intervals:
-                if candidate + length <= start:
-                    break
-                candidate = max(candidate, end)
-            if candidate + length <= frame_slots:
-                placed = candidate
-            if placed is not None:
-                best = SlotBlock(placed, length)
+            start = earliest_fit(intervals, length, frame_slots, region_start)
+            if start is not None:
+                assignments[link] = SlotBlock(start, length)
                 break
-        if best is not None:
-            assignments[link] = best
 
     schedule = Schedule(frame_slots, assignments)
     schedule.validate(conflicts)
     return schedule
 
 
-def schedule_two_classes(conflicts: nx.Graph,
+def schedule_two_classes(conflicts: ConflictIndex | nx.Graph,
                          guaranteed_demands: Mapping[Link, int],
                          best_effort_demands: Mapping[Link, int],
                          frame_slots: int,
@@ -141,6 +135,7 @@ def schedule_two_classes(conflicts: nx.Graph,
     *guaranteed* class cannot be scheduled; best effort is elastic and
     degrades to whatever fits (including nothing).
     """
+    conflicts = as_index(conflicts)
     result = minimum_slots(conflicts, dict(guaranteed_demands), frame_slots,
                            delay_constraints=delay_constraints,
                            search=search)

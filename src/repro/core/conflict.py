@@ -19,12 +19,16 @@ Every link relation in the library -- this model, the channel's exact
 collision rule (:func:`repro.phy.interference.interference_graph`) and
 SINR interference (:class:`repro.phy.models.SinrModel`) -- comes out of
 one kernel, :func:`link_relation`, fed a per-relation link x node *reach*
-matrix; :func:`relation_graph` materializes the result.
+matrix.  The solver stack runs on the result as a :class:`ConflictIndex`
+(sorted links plus CSR); :func:`as_index` converts a caller-built graph,
+and :func:`relation_graph` materializes a graph only when one is asked
+for.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+import hashlib
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -83,9 +87,11 @@ def link_relation(topology: MeshTopology, links: Sequence[Link],
                         shape=relation.shape)
 
 
-def relation_graph(links: Sequence[Link],
-                   relation: sp.csr_array) -> nx.Graph:
-    """Materialize a relation as a graph, row by row, in canonical order.
+def relation_graph(links: Sequence[Link], relation) -> nx.Graph:
+    """Materialize a CSR relation as a graph, row by row, in canonical order.
+
+    ``relation`` is anything with CSR ``indptr`` / ``indices`` over
+    ``links`` (a :mod:`scipy.sparse` array or a :class:`ConflictIndex`).
 
     Nodes in sorted link order, then each row's upper-triangle edges in
     column order -- the insertion order of an i < j pairwise scan over the
@@ -132,6 +138,18 @@ def protocol_reach(topology: MeshTopology, hops: int,
     return reach
 
 
+def protocol_relation(topology: MeshTopology, hops: int = 2,
+                      links: Iterable[Link] | None = None
+                      ) -> tuple[list[Link], sp.csr_array]:
+    """The k-hop protocol relation as ``(sorted links, CSR)``: what
+    :func:`conflict_graph` materializes and the engine indexes."""
+    if hops < 1:
+        raise ConfigurationError(f"interference model needs hops >= 1, got {hops}")
+    link_list = checked_links(topology, links)
+    return link_list, link_relation(
+        topology, link_list, protocol_reach(topology, hops, link_list))
+
+
 def conflict_graph(topology: MeshTopology, hops: int = 2,
                    links: Iterable[Link] | None = None) -> nx.Graph:
     """Build the conflict graph for (a subset of) the topology's links.
@@ -154,11 +172,7 @@ def conflict_graph(topology: MeshTopology, hops: int = 2,
     networkx.Graph
         Vertices are directed :data:`~repro.net.topology.Link` tuples.
     """
-    if hops < 1:
-        raise ConfigurationError(f"interference model needs hops >= 1, got {hops}")
-    link_list = checked_links(topology, links)
-    return relation_graph(link_list, link_relation(
-        topology, link_list, protocol_reach(topology, hops, link_list)))
+    return relation_graph(*protocol_relation(topology, hops, links))
 
 
 def checked_links(topology: MeshTopology,
@@ -173,22 +187,167 @@ def checked_links(topology: MeshTopology,
     return link_list
 
 
-def conflicting_pairs(conflicts: nx.Graph) -> Iterator[tuple[Link, Link]]:
-    """Iterate conflict-graph edges in a deterministic (sorted) order.
+class ConflictIndex:
+    """The conflict relation: sorted links plus the kernel's CSR.
+
+    The one representation the solver stack runs on: :attr:`links` in
+    canonical (sorted) order and :attr:`indptr` / :attr:`indices`
+    (int64, rows sorted, no diagonal), the symmetric relation exactly as
+    :func:`link_relation` returns it.  :attr:`graph` is an export format,
+    built on first access.
+
+    ``key`` names the index in engine caches (default: its content
+    :meth:`fingerprint`); ``hops`` is the protocol-model distance, or
+    ``None`` for any other relation.  Protocol indexes built by
+    :meth:`~repro.core.engine.SolverEngine.conflict_index` also carry the
+    topology snapshot (:attr:`topo_nodes` / :attr:`topo_edges`) a delta
+    update diffs against.  Treat instances as frozen: engines share them.
+    """
+
+    __slots__ = ("key", "hops", "links", "indptr", "indices", "_positions",
+                 "_graph", "_fingerprint", "topo_nodes", "topo_edges")
+
+    def __init__(self, links: Sequence[Link], relation: sp.csr_array,
+                 key: Optional[str] = None, hops: Optional[int] = None,
+                 topo_nodes: Optional[frozenset[int]] = None,
+                 topo_edges: Optional[frozenset[tuple[int, int]]] = None
+                 ) -> None:
+        self.links: tuple[Link, ...] = tuple(links)
+        self.indptr = np.asarray(relation.indptr, dtype=np.int64)
+        self.indices = np.asarray(relation.indices, dtype=np.int64)
+        self.hops = hops
+        self.topo_nodes = topo_nodes
+        self.topo_edges = topo_edges
+        self._positions = {link: i for i, link in enumerate(self.links)}
+        self._graph: Optional[nx.Graph] = None
+        self._fingerprint: Optional[str] = None
+        self.key = f"adhoc/{self.fingerprint()}" if key is None else key
+
+    @property
+    def graph(self) -> nx.Graph:
+        """The relation as a graph (:func:`relation_graph`), built once."""
+        if self._graph is None:
+            self._graph = relation_graph(self.links, self)
+        return self._graph
+
+    def fingerprint(self) -> str:
+        """Content hash of the links and the relation."""
+        if self._fingerprint is None:
+            digest = hashlib.sha256(repr(self.links).encode())
+            digest.update(self.indptr.tobytes())
+            digest.update(self.indices.tobytes())
+            self._fingerprint = digest.hexdigest()[:16]
+        return self._fingerprint
+
+    @property
+    def num_links(self) -> int:
+        return len(self.links)
+
+    @property
+    def num_conflicts(self) -> int:
+        return int(self.indices.size // 2)
+
+    def __contains__(self, link: object) -> bool:
+        return link in self._positions
+
+    def position(self, link: Link) -> int:
+        """Stable index of ``link`` in the canonical :attr:`links` order."""
+        try:
+            return self._positions[link]
+        except KeyError:
+            raise ConfigurationError(
+                f"{link} is not a vertex of this conflict index") from None
+
+    def _row(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def neighbors(self, link: Link) -> tuple[Link, ...]:
+        """Links conflicting with ``link``, in canonical order."""
+        links = self.links
+        return tuple(links[j] for j in self._row(self.position(link)).tolist())
+
+    def degree(self, link: Link) -> int:
+        return len(self._row(self.position(link)))
+
+    def has_edge(self, a: Link, b: Link) -> bool:
+        """True iff ``a`` and ``b`` are indexed and conflict."""
+        i, j = self._positions.get(a), self._positions.get(b)
+        return i is not None and j is not None and bool(j in self._row(i))
+
+    def upper(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column positions of the upper triangle, row-major:
+        every conflicting pair once, in sorted order."""
+        rows = np.repeat(np.arange(len(self.links)), np.diff(self.indptr))
+        keep = self.indices > rows
+        return rows[keep], self.indices[keep]
+
+    def pairs(self, members: Optional[Iterable[Link]] = None
+              ) -> list[tuple[Link, Link]]:
+        """Conflicting pairs ``(a, b)``, ``a < b``, in sorted order.
+
+        The :meth:`upper` triangle, restricted to pairs with both links
+        among ``members`` when given (links the index lacks are ignored).
+        """
+        rows, cols = self.upper()
+        if members is not None:
+            mask = np.zeros(len(self.links), dtype=bool)
+            mask[[self._positions[link] for link in members
+                  if link in self._positions]] = True
+            keep = mask[rows] & mask[cols]
+            rows, cols = rows[keep], cols[keep]
+        links = self.links
+        return [(links[i], links[j])
+                for i, j in zip(rows.tolist(), cols.tolist())]
+
+    def clique_demand_bound(self, demands: Mapping[Link, int]) -> int:
+        """The node-induced clique lower bound on frame slots
+        (:func:`max_conflict_clique_demand`; needs only the demands)."""
+        return max_conflict_clique_demand(self, demands)
+
+
+def as_index(conflicts: ConflictIndex | nx.Graph) -> ConflictIndex:
+    """The :class:`ConflictIndex` of ``conflicts``.
+
+    An index passes through untouched, keeping its engine cache lineage;
+    a caller-built :class:`networkx.Graph` is converted once (nodes
+    sorted, its adjacency read into CSR), keyed by its content.  Every
+    consumer coerces here at entry and then runs on the CSR.
+    """
+    if isinstance(conflicts, ConflictIndex):
+        return conflicts
+    links = sorted(conflicts.nodes)
+    positions = {link: i for i, link in enumerate(links)}
+    adj = conflicts.adj
+    degrees = np.fromiter((len(adj[link]) for link in links),
+                          dtype=np.int64, count=len(links))
+    cols = np.fromiter((positions[other] for link in links
+                        for other in adj[link]),
+                       dtype=np.int64, count=int(degrees.sum()))
+    # (data, (row, col)) construction sorts each row
+    return ConflictIndex(links, sp.csr_array(
+        (np.ones(cols.size, dtype=bool),
+         (np.repeat(np.arange(len(links)), degrees), cols)),
+        shape=(len(links), len(links))))
+
+
+def conflicting_pairs(conflicts: ConflictIndex | nx.Graph
+                      ) -> Iterator[tuple[Link, Link]]:
+    """Iterate conflicting link pairs in a deterministic (sorted) order.
 
     The ILP builder relies on this ordering to index its binary variables
     consistently across runs.
     """
-    return iter(sorted(tuple(sorted(edge)) for edge in conflicts.edges))
+    return iter(as_index(conflicts).pairs())
 
 
-def conflict_degree(conflicts: nx.Graph) -> dict[Link, int]:
+def conflict_degree(conflicts: ConflictIndex | nx.Graph) -> dict[Link, int]:
     """Number of conflicting neighbours per link (a scheduling-hardness proxy)."""
-    return {link: conflicts.degree(link) for link in conflicts.nodes}
+    index = as_index(conflicts)
+    return dict(zip(index.links, np.diff(index.indptr).tolist()))
 
 
-def max_conflict_clique_demand(conflicts: nx.Graph,
-                               demands: dict[Link, int]) -> int:
+def max_conflict_clique_demand(conflicts: ConflictIndex | nx.Graph,
+                               demands: Mapping[Link, int]) -> int:
     """A lower bound on frame slots: the heaviest known clique of conflicts.
 
     Enumerating maximum-weight cliques is exponential; this uses the cliques

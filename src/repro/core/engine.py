@@ -8,10 +8,12 @@ from a fixed order with one Bellman-Ford pass over the conflict graph.  A
 probe, repair and sweep point as a cold solve:
 
 1. **Cached conflict-graph layer.**  :meth:`SolverEngine.conflict_index`
-   returns an immutable :class:`ConflictIndex` -- the conflict graph plus
-   its CSR adjacency -- keyed by a topology/links/hops fingerprint and
-   kept in a small LRU, so minslots, repair, distributed validation and
-   analysis share one build per scenario instead of each calling
+   returns an immutable :class:`~repro.core.conflict.ConflictIndex` -- the
+   sorted links plus the conflict kernel's CSR relation, with the
+   :mod:`networkx` graph built only if someone asks for it -- keyed by a
+   topology/links/hops fingerprint and kept in a small LRU, so minslots,
+   repair, distributed validation and analysis share one build per
+   scenario instead of each calling
    :func:`~repro.core.conflict.conflict_graph` independently.
    :meth:`SolverEngine.interference_index` does the same for the *exact*
    interference relation (:func:`repro.phy.interference.interference_graph`)
@@ -42,10 +44,11 @@ probe, repair and sweep point as a cold solve:
 
 3. **Canonical problem hashing.**  :meth:`SolverEngine.solve` keys solved
    ``(problem, K)`` pairs in an in-process LRU under
-   :func:`canonical_problem_key` -- a content hash over the conflict edges,
-   demands, frame geometry and delay constraints, salted with the package
-   version and source fingerprint exactly like the runtime's task keys --
-   so sweeps that share subproblems hit the cache instead of HiGHS.
+   :func:`canonical_problem_key` -- a content hash over the conflict
+   relation, demands, frame geometry and delay constraints, salted with
+   the package version and source fingerprint exactly like the runtime's
+   task keys -- so sweeps that share subproblems hit the cache instead of
+   HiGHS.
 
 Cache scoping and the observability contract
 --------------------------------------------
@@ -75,12 +78,12 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.core.conflict import (
+    ConflictIndex,
+    as_index,
     checked_links,
-    conflict_graph,
     link_relation,
-    max_conflict_clique_demand,
     protocol_reach,
-    relation_graph,
+    protocol_relation,
 )
 from repro.core.ilp import (
     DelayConstraint,
@@ -144,14 +147,6 @@ def topology_fingerprint(topology: MeshTopology) -> str:
     return fingerprint
 
 
-def _edges_fingerprint(graph: nx.Graph) -> str:
-    """Content hash of a conflict graph (vertices + edges)."""
-    digest = hashlib.sha256()
-    digest.update(repr(sorted(graph.nodes)).encode())
-    digest.update(repr(sorted(tuple(sorted(e)) for e in graph.edges)).encode())
-    return digest.hexdigest()[:16]
-
-
 _SALT_CACHE: list[str] = []
 
 
@@ -179,9 +174,11 @@ def canonical_problem_key(problem: SchedulingProblem,
                           node_limit: Optional[int] = None) -> str:
     """Content hash identifying a ``(problem, K)`` pair.
 
-    Two problems share a key iff they have the same conflict edges, the
-    same demands, the same frame geometry (frame length *and* region), the
-    same delay constraints and objective, and the same solver budgets
+    Two problems share a key iff they have the same conflict relation
+    (the index's content fingerprint, so an index and a graph of the same
+    relation hash alike), the same demands, the same frame geometry
+    (frame length *and* region), the same delay constraints and
+    objective, and the same solver budgets
     (wall-clock ``time_limit`` and branch-and-cut ``node_limit``) -- a
     budget change can flip a verdict, so budget-distinct solves must not
     share a cache entry.  The key is salted with the package version and
@@ -191,7 +188,7 @@ def canonical_problem_key(problem: SchedulingProblem,
     """
     digest = hashlib.sha256()
     digest.update(_cache_salt().encode())
-    digest.update(_edges_fingerprint(problem.conflicts).encode())
+    digest.update(as_index(problem.conflicts).fingerprint().encode())
     digest.update(repr(sorted(problem.demands.items())).encode())
     digest.update(repr((problem.frame_slots, problem.effective_region,
                         problem.minimize_max_delay, time_limit,
@@ -199,93 +196,6 @@ def canonical_problem_key(problem: SchedulingProblem,
     digest.update(repr([(c.name, c.route, c.budget_slots)
                         for c in problem.delay_constraints]).encode())
     return digest.hexdigest()[:24]
-
-
-class ConflictIndex:
-    """An immutable, shareable view of one conflict (or interference) graph.
-
-    Wraps the :mod:`networkx` graph every existing consumer expects
-    (:attr:`graph`) and adds the precomputed structure repeated solves
-    want: CSR adjacency over the canonical link ordering
-    (:attr:`indptr`/:attr:`indices`, int64, each row sorted).
-
-    ``hops`` is the protocol-model distance, or ``None`` for the exact
-    interference relation.  Treat instances (and :attr:`graph`) as frozen:
-    they are shared across every consumer of the owning engine.
-
-    Protocol-model indexes built through :meth:`SolverEngine.conflict_index`
-    additionally carry a snapshot of the topology they were computed from
-    (:attr:`topo_nodes` / :attr:`topo_edges`, undirected sorted pairs).
-    The snapshot is what makes *delta updates* possible: a later request
-    for a slightly different topology/link set can be diffed against it
-    and answered by recomputing only the dirty rows of the conflict
-    relation instead of rebuilding all of it (see
-    :func:`updated_conflict_edges`).
-    """
-
-    __slots__ = ("key", "hops", "links", "graph", "indptr", "indices",
-                 "_positions", "topo_nodes", "topo_edges")
-
-    def __init__(self, key: str, hops: Optional[int],
-                 graph: nx.Graph,
-                 topo_nodes: Optional[frozenset[int]] = None,
-                 topo_edges: Optional[frozenset[tuple[int, int]]] = None
-                 ) -> None:
-        self.key = key
-        self.hops = hops
-        self.graph = graph
-        self.topo_nodes = topo_nodes
-        self.topo_edges = topo_edges
-        self.links: tuple[Link, ...] = tuple(sorted(graph.nodes))
-        self._positions = {link: i for i, link in enumerate(self.links)}
-        adj = graph.adj
-        degrees = np.fromiter((len(adj[link]) for link in self.links),
-                              dtype=np.int64, count=len(self.links))
-        cols = np.fromiter((self._positions[other]
-                            for link in self.links for other in adj[link]),
-                           dtype=np.int64, count=int(degrees.sum()))
-        # (data, (row, col)) construction sums duplicates: rows come sorted
-        relation = sp.csr_array(
-            (np.ones(cols.size, dtype=bool),
-             (np.repeat(np.arange(len(self.links)), degrees), cols)),
-            shape=(len(self.links), len(self.links)))
-        self.indptr = relation.indptr.astype(np.int64)
-        self.indices = relation.indices.astype(np.int64)
-
-    @property
-    def num_links(self) -> int:
-        return len(self.links)
-
-    @property
-    def num_conflicts(self) -> int:
-        return int(self.indices.size // 2)
-
-    def position(self, link: Link) -> int:
-        """Stable index of ``link`` in the canonical :attr:`links` order."""
-        try:
-            return self._positions[link]
-        except KeyError:
-            raise ConfigurationError(
-                f"{link} is not a vertex of this conflict index") from None
-
-    def neighbors(self, link: Link) -> tuple[Link, ...]:
-        """Links conflicting with ``link``, in canonical order."""
-        i = self.position(link)
-        return tuple(self.links[j]
-                     for j in self.indices[self.indptr[i]:self.indptr[i + 1]])
-
-    def degree(self, link: Link) -> int:
-        i = self.position(link)
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def clique_demand_bound(self, demands: Mapping[Link, int]) -> int:
-        """The node-induced clique lower bound on frame slots.
-
-        Delegates to :func:`~repro.core.conflict.max_conflict_clique_demand`
-        (all links incident to one node mutually conflict under any
-        ``k >= 1`` model); the bound needs only the demands.
-        """
-        return max_conflict_clique_demand(self.graph, demands)
 
 
 def _topology_snapshot(topology: MeshTopology
@@ -296,7 +206,7 @@ def _topology_snapshot(topology: MeshTopology
             frozenset(tuple(sorted(e)) for e in topology.graph.edges))
 
 
-def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
+def updated_conflict_edges(old: ConflictIndex, topology: MeshTopology,
                            hops: int, link_list: Sequence[Link]
                            ) -> Optional[sp.csr_array]:
     """Conflict relation for ``(topology, link_list)``, delta-updated.
@@ -315,7 +225,7 @@ def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
     no snapshot, or its hops differ) or would not pay (more than half
     the links are dirty -- a rebuild is no slower then); otherwise the
     canonical CSR relation over the sorted ``link_list``, *identical* to
-    a cold :func:`~repro.core.conflict.conflict_graph` build (the
+    a cold :func:`~repro.core.conflict.protocol_relation` build (the
     equivalence is property-tested in ``tests/test_property_mobility.py``).
     Raises :class:`~repro.errors.ConfigurationError` exactly where a cold
     build would (the degenerate-hops guard).
@@ -451,7 +361,7 @@ class SolverEngine:
         integer.  A :class:`~repro.phy.models.ProtocolModel` routes
         through exactly the pre-seam path: same cache key (the bare hops
         int), same delta lineage, same
-        :func:`~repro.core.conflict.conflict_graph` build -- bitwise
+        :func:`~repro.core.conflict.protocol_relation` build -- bitwise
         identical.  Other models (e.g.
         :class:`~repro.phy.models.SinrModel`) are keyed by their
         :meth:`~repro.phy.models.InterferenceModel.cache_token` (which
@@ -485,7 +395,7 @@ class SolverEngine:
             # interference relation's.
             key = ("conflict", topology_fingerprint(topology),
                    model.cache_token(topology), link_key)
-            return self._index_for(key, None, lambda: (model.conflict_graph(
+            return self._index_for(key, None, lambda: (model.relation(
                 topology, links=None if link_key is None else list(link_key)),
                 "index_builds"), f"core.interference.{model.kind}_edges")
         hops = model.hops
@@ -493,35 +403,35 @@ class SolverEngine:
         key = ("conflict", topology_fingerprint(topology), hops, link_key)
         index = self._index_for(
             key, hops,
-            lambda: self._protocol_graph(topology, hops, link_key, lineage),
+            lambda: self._protocol_relation(topology, hops, link_key,
+                                            lineage),
             "core.interference.protocol_edges", topology)
         if self.max_indexes > 0:
             self._delta_bases[lineage] = index
         return index
 
-    def _protocol_graph(self, topology: MeshTopology, hops: int,
-                        link_key: Optional[tuple], lineage: tuple
-                        ) -> tuple[nx.Graph, str]:
+    def _protocol_relation(self, topology: MeshTopology, hops: int,
+                           link_key: Optional[tuple], lineage: tuple
+                           ) -> tuple[tuple[list[Link], sp.csr_array], str]:
         """A protocol-model miss: delta update if it applies, else cold."""
-        link_list = checked_links(topology, link_key)
         base = (self._delta_bases.get(lineage)
                 if self.delta_updates and self.max_indexes > 0 else None)
-        relation = (None if base is None else
-                    updated_conflict_edges(base, topology, hops, link_list))
-        if relation is None:
-            return (conflict_graph(topology, hops=hops, links=link_list),
-                    "index_builds")
-        return relation_graph(link_list, relation), "delta_updates"
+        if base is not None:
+            link_list = checked_links(topology, link_key)
+            relation = updated_conflict_edges(base, topology, hops, link_list)
+            if relation is not None:
+                return (link_list, relation), "delta_updates"
+        return protocol_relation(topology, hops, link_key), "index_builds"
 
     def zone_index(self, base: ConflictIndex,
                    links: Sequence[Link]) -> ConflictIndex:
         """The (cached) conflict subindex induced by a zone's links.
 
         ``base`` is the full-mesh index the zone was partitioned from;
-        the subindex wraps the conflict subgraph induced by ``links``
-        (canonical node and edge insertion order, so it is
-        indistinguishable from a direct build).  Zone requests are keyed
-        by ``(base.key, zone fingerprint)`` in a **dedicated LRU** --
+        the subindex holds the relation induced by ``links`` (its CSR
+        block over the sorted zone, so it is indistinguishable from a
+        direct build).  Zone requests are keyed by ``(base.key, zone
+        fingerprint)`` in a **dedicated LRU** --
         zoned solves touch dozens of zones per search, and sharing the
         main index cache would evict the full-mesh entry every consumer
         relies on.  ``stats["zone_index_hits"]`` and the
@@ -540,8 +450,8 @@ class SolverEngine:
                 (np.ones(base.indices.size, dtype=bool), base.indices,
                  base.indptr), shape=(base.num_links, base.num_links)
             )[members][:, members].sorted_indices()
-            index = ConflictIndex("/".join(map(repr, key)), base.hops,
-                                  relation_graph(zone, relation))
+            index = ConflictIndex(zone, relation, "/".join(map(repr, key)),
+                                  base.hops)
             self._count("zone_index_builds")
             # Zones are small and numerous; give them headroom without
             # letting a 5000-link sweep hold every subindex forever.
@@ -557,27 +467,28 @@ class SolverEngine:
         than the 2-hop protocol model, so distributed outcomes must be
         validated against it, not against :meth:`conflict_index`.
         """
-        from repro.phy.interference import interference_graph
+        from repro.phy.interference import interference_relation
 
         key = ("interference", topology_fingerprint(topology))
         return self._index_for(
-            key, None, lambda: (interference_graph(topology), "index_builds"))
+            key, None,
+            lambda: (interference_relation(topology), "index_builds"))
 
     def _index_for(self, key: tuple, hops: Optional[int], build,
                    edges_counter: Optional[str] = None,
                    topology: Optional[MeshTopology] = None) -> ConflictIndex:
         """The index cached under ``key``, built on a miss.
 
-        ``build()`` returns the graph and the stat the build counts
-        toward; a ``topology`` is snapshotted into the index for later
-        delta updates.
+        ``build()`` returns the ``(links, relation)`` pair and the stat
+        the build counts toward; a ``topology`` is snapshotted into the
+        index for later delta updates.
         """
         index = self._lru_get(self._indexes, key, "index_hits")
         if index is None:
-            graph, stat = build()
+            (links, relation), stat = build()
             snapshot = () if topology is None else _topology_snapshot(topology)
-            index = ConflictIndex("/".join(map(repr, key)), hops, graph,
-                                  *snapshot)
+            index = ConflictIndex(links, relation, "/".join(map(repr, key)),
+                                  hops, *snapshot)
             self._count(stat)
             if edges_counter is not None:
                 obs.counter(edges_counter).inc(index.num_conflicts)
@@ -633,7 +544,8 @@ class SolverEngine:
 
     # -- warm-started order certification ------------------------------------
 
-    def certify_order(self, conflicts: nx.Graph, demands: Mapping[Link, int],
+    def certify_order(self, conflicts: ConflictIndex | nx.Graph,
+                      demands: Mapping[Link, int],
                       frame_slots: int, region: int,
                       delay_constraints: Sequence[DelayConstraint],
                       order: TransmissionOrder) -> Optional[Schedule]:
@@ -666,7 +578,8 @@ class SolverEngine:
 
     # -- warm-started minimum-slots search -----------------------------------
 
-    def minimum_slots(self, conflicts: nx.Graph, demands: Mapping[Link, int],
+    def minimum_slots(self, conflicts: ConflictIndex | nx.Graph,
+                      demands: Mapping[Link, int],
                       frame_slots: int,
                       delay_constraints: Sequence[DelayConstraint] = (),
                       search: Optional[str] = None,
@@ -689,7 +602,8 @@ class SolverEngine:
             time_limit_per_probe=time_limit_per_probe,
             engine=self, warm_order=warm_order, policy=policy)
 
-    def run_search(self, conflicts: nx.Graph, demands: Mapping[Link, int],
+    def run_search(self, conflicts: ConflictIndex | nx.Graph,
+                   demands: Mapping[Link, int],
                    frame_slots: int,
                    delay_constraints: Sequence[DelayConstraint],
                    search: str, ceiling: int,
@@ -713,6 +627,7 @@ class SolverEngine:
         """
         from repro.core.minslots import MinSlotResult, demand_lower_bound
 
+        conflicts = as_index(conflicts)
         lower = max(1, demand_lower_bound(conflicts, demands))
         probes: list[tuple[int, bool]] = []
         carried: Optional[TransmissionOrder] = (

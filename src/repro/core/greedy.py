@@ -9,11 +9,12 @@ on unlucky routes.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import networkx as nx
 import numpy as np
 
+from repro.core.conflict import ConflictIndex, as_index
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.net.topology import Link
@@ -36,14 +37,15 @@ def _link_processing_order(demands: Mapping[Link, int], strategy: str,
     raise ConfigurationError(f"unknown greedy strategy {strategy!r}")
 
 
-def _earliest_fit(busy: list[tuple[int, int]], length: int,
-                  limit: Optional[int]) -> Optional[int]:
-    """Earliest start of a ``length``-slot block avoiding ``busy`` intervals.
+def earliest_fit(busy: list[tuple[int, int]], length: int,
+                 limit: Optional[int], origin: int = 0) -> Optional[int]:
+    """Earliest start at or after ``origin`` of a ``length``-slot block
+    avoiding ``busy`` intervals.
 
     ``busy`` is a list of (start, end) half-open intervals.  Returns None if
     no start fits below ``limit`` (when given).
     """
-    candidate = 0
+    candidate = origin
     for start, end in sorted(busy):
         if candidate + length <= start:
             break
@@ -53,7 +55,31 @@ def _earliest_fit(busy: list[tuple[int, int]], length: int,
     return candidate
 
 
-def greedy_schedule(conflicts: nx.Graph, demands: Mapping[Link, int],
+def first_fit(conflicts: ConflictIndex, demands: Mapping[Link, int],
+              ranking: Iterable[Link],
+              frame_slots: Optional[int] = None) -> dict[Link, SlotBlock]:
+    """Place each link of ``ranking`` in turn at the earliest start clear
+    of its already-placed conflicting neighbours, below ``frame_slots``
+    when given (:class:`~repro.errors.InfeasibleScheduleError` if a link
+    does not fit), else unbounded."""
+    blocks: dict[Link, SlotBlock] = {}
+    for link in ranking:
+        if link not in conflicts:
+            raise ConfigurationError(
+                f"demanded link {link} missing from conflict graph")
+        busy = [(blocks[other].start, blocks[other].end)
+                for other in conflicts.neighbors(link) if other in blocks]
+        start = earliest_fit(busy, demands[link], frame_slots)
+        if start is None:
+            raise InfeasibleScheduleError(
+                f"first-fit could not fit link {link} "
+                f"({demands[link]} slots) within {frame_slots} slots")
+        blocks[link] = SlotBlock(start, demands[link])
+    return blocks
+
+
+def greedy_schedule(conflicts: ConflictIndex | nx.Graph,
+                    demands: Mapping[Link, int],
                     frame_slots: Optional[int] = None,
                     strategy: str = "demand",
                     rng: Optional[np.random.Generator] = None) -> Schedule:
@@ -62,7 +88,7 @@ def greedy_schedule(conflicts: nx.Graph, demands: Mapping[Link, int],
     Parameters
     ----------
     conflicts:
-        Conflict graph over (at least) the demanded links.
+        Conflict index or graph over (at least) the demanded links.
     demands:
         Slots per frame needed by each link; zero-demand links are skipped.
     frame_slots:
@@ -74,21 +100,10 @@ def greedy_schedule(conflicts: nx.Graph, demands: Mapping[Link, int],
         ``"demand"`` (first-fit decreasing), ``"index"`` (canonical link
         order) or ``"random"`` (a shuffled order drawn from ``rng``).
     """
-    order = _link_processing_order(demands, strategy, rng)
-    starts: dict[Link, SlotBlock] = {}
-    for link in order:
-        if link not in conflicts:
-            raise ConfigurationError(
-                f"demanded link {link} missing from conflict graph")
-        busy = [(starts[other].start, starts[other].end)
-                for other in conflicts.neighbors(link) if other in starts]
-        start = _earliest_fit(busy, demands[link], frame_slots)
-        if start is None:
-            raise InfeasibleScheduleError(
-                f"greedy({strategy}) could not fit link {link} "
-                f"({demands[link]} slots) within {frame_slots} slots")
-        starts[link] = SlotBlock(start, demands[link])
-
+    conflicts = as_index(conflicts)
+    starts = first_fit(conflicts, demands,
+                       _link_processing_order(demands, strategy, rng),
+                       frame_slots)
     span = max((block.end for block in starts.values()), default=1)
     schedule = Schedule(frame_slots if frame_slots is not None else span)
     for link, block in starts.items():

@@ -41,6 +41,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro import obs
+from repro.core.conflict import ConflictIndex, as_index
 from repro.core.ordering import TransmissionOrder
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError, SolverError
@@ -69,7 +70,7 @@ class DelayConstraint:
 class SchedulingProblem:
     """Inputs to the delay-aware scheduling ILP."""
 
-    conflicts: nx.Graph
+    conflicts: ConflictIndex | nx.Graph
     demands: Mapping[Link, int]
     frame_slots: int
     delay_constraints: Sequence[DelayConstraint] = field(default_factory=tuple)
@@ -172,10 +173,8 @@ def _solve(problem: SchedulingProblem,
 
     # -- variable layout ---------------------------------------------------
     s_index = {link: i for i, link in enumerate(links)}
-    demanded = set(links)
-    pairs = sorted(
-        tuple(sorted(edge)) for edge in problem.conflicts.edges
-        if edge[0] in demanded and edge[1] in demanded)
+    conflicts = as_index(problem.conflicts)
+    pairs = conflicts.pairs(links)
     o_index = {pair: len(links) + j for j, pair in enumerate(pairs)}
     pair_set = set(pairs)
     num_vars = len(links) + len(pairs)
@@ -297,7 +296,7 @@ def _solve(problem: SchedulingProblem,
     for link, i in s_index.items():
         start = int(round(values[i]))
         schedule.assign(link, SlotBlock(start, problem.demands[link]))
-    schedule.validate(problem.conflicts)
+    schedule.validate(conflicts)
 
     pair_decisions = {
         pair: bool(round(values[j])) for pair, j in o_index.items()}

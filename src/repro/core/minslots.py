@@ -22,8 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import networkx as nx
 
 from repro import obs
-from repro._deprecation import warn_once
-from repro.core.conflict import max_conflict_clique_demand
+from repro.core.conflict import ConflictIndex, max_conflict_clique_demand
 from repro.core.ilp import DelayConstraint, ILPResult
 from repro.core.ordering import TransmissionOrder
 from repro.core.schedule import Schedule
@@ -41,8 +40,7 @@ class MinSlotResult:
     The schedule and transmission order of the winning probe are exposed
     directly as :attr:`schedule` and :attr:`order`; the full
     :class:`~repro.core.ilp.ILPResult` (solver status, delays, sizes) is
-    :attr:`ilp`.  The pre-redesign ``.result`` attribute still resolves to
-    :attr:`ilp` but emits a :class:`DeprecationWarning` on first use.
+    :attr:`ilp`.
     """
 
     #: Smallest feasible guaranteed region, or None if even the full frame
@@ -77,17 +75,10 @@ class MinSlotResult:
         """The winning probe's transmission order (None when infeasible)."""
         return None if self.ilp is None else self.ilp.order
 
-    @property
-    def result(self) -> Optional[ILPResult]:
-        """Deprecated alias of :attr:`ilp` (kept for pre-facade callers)."""
-        warn_once(
-            "MinSlotResult.result",
-            "MinSlotResult.result is deprecated; use .schedule / .order "
-            "for the solution or .ilp for the full ILPResult")
-        return self.ilp
 
 
-def demand_lower_bound(conflicts: nx.Graph, demands: Mapping[Link, int]) -> int:
+def demand_lower_bound(conflicts: ConflictIndex | nx.Graph,
+                       demands: Mapping[Link, int]) -> int:
     """A cheap valid lower bound on the guaranteed region size.
 
     The max of (a) the largest single-link demand and (b) the heaviest
@@ -98,8 +89,8 @@ def demand_lower_bound(conflicts: nx.Graph, demands: Mapping[Link, int]) -> int:
     return max(largest, max_conflict_clique_demand(conflicts, demands))
 
 
-def minimum_slots(conflicts: Optional[nx.Graph], demands: Mapping[Link, int],
-                  frame_slots: int,
+def minimum_slots(conflicts: ConflictIndex | nx.Graph | None,
+                  demands: Mapping[Link, int], frame_slots: int,
                   delay_constraints: Sequence[DelayConstraint] = (),
                   search: Optional[str] = None,
                   max_region: Optional[int] = None,
@@ -115,8 +106,9 @@ def minimum_slots(conflicts: Optional[nx.Graph], demands: Mapping[Link, int],
     ----------
     conflicts, demands, frame_slots, delay_constraints:
         As in :class:`~repro.core.ilp.SchedulingProblem`; ``frame_slots`` is
-        the *fixed* frame length (wrap cost).  ``conflicts`` may be
-        ``None`` when ``topology=`` is given -- the conflict graph over
+        the *fixed* frame length (wrap cost).  ``conflicts`` is a
+        :class:`~repro.core.conflict.ConflictIndex` or a conflict graph,
+        or ``None`` when ``topology=`` is given -- the conflict index over
         the demanded links is then built through the engine's
         interference seam (``hops=`` or ``interference=``, the same pair
         :meth:`~repro.core.engine.SolverEngine.conflict_index` takes).
@@ -154,14 +146,15 @@ def minimum_slots(conflicts: Optional[nx.Graph], demands: Mapping[Link, int],
     if conflicts is None:
         if topology is None:
             raise ConfigurationError(
-                "minimum_slots needs conflicts= (a prebuilt graph) or "
-                "topology= (to build one through the interference seam)")
+                "minimum_slots needs conflicts= (a prebuilt index or "
+                "graph) or topology= (to build one through the "
+                "interference seam)")
         conflicts = engine.conflict_index(
             topology, hops=hops, interference=interference,
-            links=sorted(demands)).graph
+            links=sorted(demands))
     elif topology is not None or hops is not None or interference is not None:
         raise ConfigurationError(
-            "pass either a prebuilt conflicts= graph or the "
+            "pass either a prebuilt conflicts= index or graph, or the "
             "topology=/hops=/interference= triple, not both")
     from repro.core.policy import SolverPolicy
 

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Optional
 import networkx as nx
 
 from repro.core.bellman_ford import DifferenceConstraints
+from repro.core.conflict import ConflictIndex, as_index
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.net.topology import Link
@@ -108,7 +109,8 @@ class TransmissionOrder:
         return sorted(known)
 
 
-def order_constraints(conflicts: nx.Graph, demands: Mapping[Link, int],
+def order_constraints(conflicts: ConflictIndex | nx.Graph,
+                      demands: Mapping[Link, int],
                       frame_slots: int, order: TransmissionOrder
                       ) -> DifferenceConstraints:
     """Difference-constraint system for start slots under a fixed order.
@@ -117,8 +119,9 @@ def order_constraints(conflicts: nx.Graph, demands: Mapping[Link, int],
     Constraints:
 
     - ``0 <= s_l <= frame_slots - d_l`` (blocks fit in the frame);
-    - for every conflict edge ``(a, b)`` with positive demands, the earlier
-      link finishes before the later one starts.
+    - for every conflicting pair ``(a, b)`` with positive demands (in
+      sorted order), the earlier link finishes before the later one
+      starts.
     """
     system = DifferenceConstraints()
     scheduled = [l for l in sorted(demands) if demands[l] > 0]
@@ -129,11 +132,7 @@ def order_constraints(conflicts: nx.Graph, demands: Mapping[Link, int],
                 f"link {link} demands {demand} slots > frame of {frame_slots}")
         system.add_lower(ORIGIN, link, 0)
         system.add_upper(ORIGIN, link, frame_slots - demand)
-    demanded = set(scheduled)
-    for edge in sorted(tuple(sorted(e)) for e in conflicts.edges):
-        a, b = edge
-        if a not in demanded or b not in demanded:
-            continue
+    for a, b in as_index(conflicts).pairs(scheduled):
         if order.precedes(a, b):
             first, second = a, b
         else:
@@ -143,7 +142,8 @@ def order_constraints(conflicts: nx.Graph, demands: Mapping[Link, int],
     return system
 
 
-def schedule_from_order(conflicts: nx.Graph, demands: Mapping[Link, int],
+def schedule_from_order(conflicts: ConflictIndex | nx.Graph,
+                        demands: Mapping[Link, int],
                         frame_slots: int, order: TransmissionOrder,
                         earliest: bool = True) -> Schedule:
     """Recover a concrete conflict-free schedule from a transmission order.
@@ -158,6 +158,7 @@ def schedule_from_order(conflicts: nx.Graph, demands: Mapping[Link, int],
         If true (default), return the componentwise-earliest start times
         consistent with the order; otherwise the latest.
     """
+    conflicts = as_index(conflicts)
     system = order_constraints(conflicts, demands, frame_slots, order)
     if earliest:
         # Minimal solution of {x_v <= x_u + w} = negated maximal solution of

@@ -285,7 +285,7 @@ class RepairEngine:
         demands = self._demands(flows)
         conflicts = self.engine.conflict_index(
             alive, interference=self.interference,
-            links=sorted(demands)).graph
+            links=sorted(demands))
 
         # 1. unchanged routes: the old schedule restricted to the demanded
         #    links may simply still be valid (down events only ever shrink
@@ -431,7 +431,7 @@ class RepairEngine:
         demands = self._demands(flows)
         conflicts = self.engine.conflict_index(
             topo, interference=self.interference,
-            links=sorted(demands)).graph
+            links=sorted(demands))
         warm_order = (self._spliced_order(flows, demands)
                       if self.schedule is not None else None)
         return minimum_slots(

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 import networkx as nx
+import numpy as np
 
+from repro.core.conflict import ConflictIndex, as_index
 from repro.errors import ConfigurationError, SchedulingError
 from repro.net.topology import Link
 
@@ -131,16 +133,23 @@ class Schedule:
 
     # -- validation ----------------------------------------------------------
 
-    def violations(self, conflicts: nx.Graph) -> list[tuple[Link, Link]]:
-        """All pairs of conflicting links with overlapping blocks."""
-        bad = []
-        for link_a, link_b in conflicts.edges:
-            if link_a in self._blocks and link_b in self._blocks:
-                if self._blocks[link_a].overlaps(self._blocks[link_b]):
-                    bad.append(tuple(sorted((link_a, link_b))))
-        return sorted(bad)
+    def violations(self, conflicts: ConflictIndex | nx.Graph
+                   ) -> list[tuple[Link, Link]]:
+        """All pairs of conflicting links with overlapping blocks, sorted."""
+        index = as_index(conflicts)
+        # unscheduled links get the empty block [0, 0), which overlaps nothing
+        blocks = [self._blocks.get(link) for link in index.links]
+        start = np.array([0 if b is None else b.start for b in blocks],
+                         dtype=np.int64)
+        end = np.array([0 if b is None else b.end for b in blocks],
+                       dtype=np.int64)
+        rows, cols = index.upper()
+        bad = (start[rows] < end[cols]) & (start[cols] < end[rows])
+        links = index.links
+        return [(links[i], links[j])
+                for i, j in zip(rows[bad].tolist(), cols[bad].tolist())]
 
-    def validate(self, conflicts: nx.Graph) -> None:
+    def validate(self, conflicts: ConflictIndex | nx.Graph) -> None:
         """Raise :class:`SchedulingError` unless the schedule is conflict-free."""
         bad = self.violations(conflicts)
         if bad:

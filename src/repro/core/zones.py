@@ -8,7 +8,7 @@ the :class:`~repro.core.policy.SolverPolicy` seam:
 
 **Zoned** (:func:`zoned_minimum_slots`).  Partition the demanded links
 into *interference zones* by deterministic seed-ordered BFS over the
-:class:`~repro.core.engine.ConflictIndex` CSR adjacency
+:class:`~repro.core.conflict.ConflictIndex` CSR adjacency
 (:func:`partition_zones`): links that conflict cluster together, links
 that never interact end up in different zones -- the route-interference
 structure of arXiv:1106.1590 decomposed explicitly.  Each zone is then
@@ -63,13 +63,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import networkx as nx
 
 from repro import obs
+from repro.core.conflict import ConflictIndex, as_index
 from repro.core.delay import path_delay_slots
-from repro.core.greedy import greedy_schedule
+from repro.core.greedy import first_fit, greedy_schedule
 from repro.core.ilp import DelayConstraint, ILPResult
 from repro.core.minslots import MinSlotResult, demand_lower_bound
 from repro.core.ordering import TransmissionOrder, schedule_from_order
@@ -79,9 +80,7 @@ from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.net.topology import Link
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.engine import ConflictIndex, SolverEngine
-
-ConflictsLike = Union[nx.Graph, "ConflictIndex"]
+    from repro.core.engine import SolverEngine
 
 #: Per-probe branch-and-cut node budget for zone sub-searches when the
 #: policy leaves ``node_limit_per_probe`` unset.  Probes undecided within
@@ -128,22 +127,6 @@ class ZonePartition:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(zone) for zone in self.zones)
-
-
-def _as_index(conflicts: ConflictsLike) -> "ConflictIndex":
-    """Wrap a bare conflict graph in a (non-engine) ConflictIndex.
-
-    Callers holding an engine-built :class:`ConflictIndex` pass it
-    through untouched, keeping its cache lineage; a bare
-    :class:`networkx.Graph` gets an ad-hoc index keyed by its content
-    fingerprint so zone-subindex caching stays correct.
-    """
-    from repro.core.engine import ConflictIndex, _edges_fingerprint
-
-    if isinstance(conflicts, ConflictIndex):
-        return conflicts
-    return ConflictIndex(f"adhoc/{_edges_fingerprint(conflicts)}", None,
-                         conflicts)
 
 
 def partition_zones(index: "ConflictIndex",
@@ -194,7 +177,7 @@ def partition_zones(index: "ConflictIndex",
     return partition
 
 
-def boundary_reservation(index: "ConflictIndex",
+def boundary_reservation(index: ConflictIndex,
                          demands: Mapping[Link, int],
                          zone: Sequence[Link]) -> int:
     """Slots to reserve for a zone's conflicting out-of-zone neighbours.
@@ -216,34 +199,6 @@ def boundary_reservation(index: "ConflictIndex",
                       if neighbor not in members)
         worst = max(worst, outside)
     return worst
-
-
-def _first_fit_starts(index: "ConflictIndex",
-                      demands: Mapping[Link, int],
-                      ranking: Sequence[Link]) -> dict[Link, int]:
-    """Earliest-fit start slots over ``ranking`` (unbounded frame).
-
-    Concatenating zone orders into one *total* order and handing it to
-    Bellman-Ford would serialize every cross-zone conflict pair in zone
-    order -- quadratic stretch the zones never asked for.  First-fit is
-    the right relaxation: each link (in ranking order) takes the
-    earliest slot range clear of its already-placed conflicting
-    neighbours, so a later zone's link may fill an earlier zone's gap.
-    The *induced* start order is what the stitch's Bellman-Ford pass
-    then compacts.
-    """
-    starts: dict[Link, int] = {}
-    for link in ranking:
-        demand = demands[link]
-        busy = sorted((starts[nb], starts[nb] + demands[nb])
-                      for nb in index.neighbors(link) if nb in starts)
-        start = 0
-        for begin, end in busy:
-            if start + demand <= begin:
-                break
-            start = max(start, end)
-        starts[link] = start
-    return starts
 
 
 def _zone_constraints(delay_constraints: Sequence[DelayConstraint],
@@ -314,7 +269,7 @@ def _heuristic_result(status: str,
                          probes=[(slots, True)], meta=meta)
 
 
-def _zone_warm_start(zone_graph: nx.Graph,
+def _zone_warm_start(engine: "SolverEngine", zone_index: ConflictIndex,
                      zone_demands: Mapping[Link, int],
                      ceiling: int, frame_slots: int,
                      zone_delay: Sequence[DelayConstraint]
@@ -324,27 +279,20 @@ def _zone_warm_start(zone_graph: nx.Graph,
     The order seeds the zone search's Bellman-Ford certificates; the
     makespan (``None`` when the packing misses the ceiling or a zone
     delay budget) is a known-feasible upper bound for the zone region.
+    The certificate is the engine's own, so budgets are judged at the
+    full frame wrap cost exactly as during the search.
     """
-    raw = greedy_schedule(zone_graph, zone_demands, frame_slots=None,
+    raw = greedy_schedule(zone_index, zone_demands, frame_slots=None,
                           strategy="demand")
     order = TransmissionOrder.from_schedule(raw)
-    try:
-        packed = schedule_from_order(zone_graph, zone_demands, ceiling,
-                                     order)
-    except InfeasibleScheduleError:
+    certified = engine.certify_order(zone_index, zone_demands, frame_slots,
+                                     ceiling, zone_delay, order)
+    if certified is None:
         return None, None
-    if zone_delay:
-        # Budgets must hold at the *full* frame wrap cost, exactly as
-        # the engine's certify_order judges them during the search.
-        at_frame = Schedule(frame_slots, dict(packed.items()))
-        for constraint in zone_delay:
-            if (path_delay_slots(at_frame, constraint.route)
-                    > constraint.budget_slots):
-                return None, None
-    return order, packed.makespan()
+    return order, certified.makespan()
 
 
-def zoned_minimum_slots(conflicts: ConflictsLike,
+def zoned_minimum_slots(conflicts: ConflictIndex | nx.Graph,
                         demands: Mapping[Link, int],
                         frame_slots: int,
                         delay_constraints: Sequence[DelayConstraint] = (),
@@ -366,9 +314,8 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
     policy = SolverPolicy.coerce(policy)
     ceiling = (frame_slots if policy.max_region is None
                else min(policy.max_region, frame_slots))
-    base = _as_index(conflicts)
-    graph = base.graph
-    lower = demand_lower_bound(graph, demands)
+    base = as_index(conflicts)
+    lower = demand_lower_bound(base, demands)
     obs.counter("core.zones.zoned_solves").inc()
     started = time.perf_counter()
     with obs.span("core.zones.solve", mode="zoned",
@@ -383,7 +330,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
             # Nothing demanded: delegate the degenerate case to the
             # exact probe machinery for identical empty-result shape.
             outcome = engine.run_search(
-                graph, demands, frame_slots, tuple(delay_constraints),
+                base, demands, frame_slots, tuple(delay_constraints),
                 policy.search, ceiling, policy.time_limit_per_probe,
                 node_limit_per_probe=policy.node_limit_per_probe)
             outcome.meta = meta
@@ -402,11 +349,11 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
             zone_demands = {link: demands[link] for link in zone}
             reserve = boundary_reservation(base, demands, zone)
             reserves.append(reserve)
-            zone_lower = demand_lower_bound(zone_index.graph, zone_demands)
+            zone_lower = demand_lower_bound(zone_index, zone_demands)
             zone_ceiling = min(ceiling, max(zone_lower, ceiling - reserve))
             zone_delay = _zone_constraints(delay_constraints, members)
             warm_order, greedy_makespan = _zone_warm_start(
-                zone_index.graph, zone_demands, ceiling, frame_slots,
+                engine, zone_index, zone_demands, ceiling, frame_slots,
                 zone_delay)
             if greedy_makespan is not None:
                 # The greedy packing is a feasibility certificate at its
@@ -419,7 +366,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
                     obs.counter("core.zones.reserve_relaxed").inc()
                 zone_ceiling = greedy_makespan
             outcome = engine.run_search(
-                zone_index.graph, zone_demands, frame_slots,
+                zone_index, zone_demands, frame_slots,
                 zone_delay, "binary", zone_ceiling,
                 probe_limit, warm_order=warm_order,
                 node_limit_per_probe=probe_nodes)
@@ -430,7 +377,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
                 # rather than failing the whole mesh.
                 obs.counter("core.zones.reserve_relaxed").inc()
                 outcome = engine.run_search(
-                    zone_index.graph, zone_demands, frame_slots,
+                    zone_index, zone_demands, frame_slots,
                     zone_delay, "binary", ceiling,
                     probe_limit, warm_order=warm_order,
                     node_limit_per_probe=probe_nodes)
@@ -455,14 +402,16 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
         # non-conflicting zones overlap.  Zone-major concatenation would
         # make first-fit rediscover the spatial reuse one conflict pair
         # at a time, and it routinely overflows a frame that
-        # max(zone makespans) fits easily.
+        # max(zone makespans) fits easily.  First-fit (not the zone orders
+        # concatenated into one total order, which would serialize every
+        # cross-zone pair) lets a later zone's link fill an earlier gap.
         ranking = [entry[-1] for entry in sorted(ranked)]
-        starts = _first_fit_starts(base, demands, ranking)
         order = TransmissionOrder(
-            {link: float(start) for link, start in starts.items()})
+            {link: float(block.start) for link, block
+             in first_fit(base, demands, ranking).items()})
         meta["boundary_reserve"] = max(reserves)
         try:
-            packed = schedule_from_order(graph, demands, ceiling, order)
+            packed = schedule_from_order(base, demands, ceiling, order)
         except InfeasibleScheduleError:
             obs.counter("core.zones.stitch_failures").inc()
             meta["stitch_failed"] = True
@@ -470,7 +419,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
                                  probes=[], meta=meta)
         obs.counter("core.zones.stitches").inc()
         schedule = Schedule(frame_slots, dict(packed.items()))
-        schedule.validate(graph)
+        schedule.validate(base)
     zone_seconds = max(zone_seconds, time.perf_counter() - started)
     return _heuristic_result(
         f"zoned({partition.num_zones} zones)", schedule, order,
@@ -481,7 +430,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
 GREEDY_PORTFOLIO = ("demand", "index")
 
 
-def greedy_minimum_slots(conflicts: ConflictsLike,
+def greedy_minimum_slots(conflicts: ConflictIndex | nx.Graph,
                          demands: Mapping[Link, int],
                          frame_slots: int,
                          delay_constraints: Sequence[DelayConstraint] = (),
@@ -501,9 +450,8 @@ def greedy_minimum_slots(conflicts: ConflictsLike,
     policy = SolverPolicy.coerce(policy)
     ceiling = (frame_slots if policy.max_region is None
                else min(policy.max_region, frame_slots))
-    base = _as_index(conflicts)
-    graph = base.graph
-    lower = demand_lower_bound(graph, demands)
+    base = as_index(conflicts)
+    lower = demand_lower_bound(base, demands)
     obs.counter("core.zones.greedy_solves").inc()
     started = time.perf_counter()
     best: Optional[tuple[int, str, TransmissionOrder, Schedule]] = None
@@ -511,11 +459,11 @@ def greedy_minimum_slots(conflicts: ConflictsLike,
                   frame_slots=frame_slots):
         if lower <= ceiling:
             for strategy in GREEDY_PORTFOLIO:
-                raw = greedy_schedule(graph, demands, frame_slots=None,
+                raw = greedy_schedule(base, demands, frame_slots=None,
                                       strategy=strategy)
                 order = TransmissionOrder.from_schedule(raw)
                 try:
-                    packed = schedule_from_order(graph, demands, ceiling,
+                    packed = schedule_from_order(base, demands, ceiling,
                                                  order)
                 except InfeasibleScheduleError:
                     continue
@@ -529,7 +477,7 @@ def greedy_minimum_slots(conflicts: ConflictsLike,
     makespan, strategy, order, packed = best
     meta["strategy"] = strategy
     schedule = Schedule(frame_slots, dict(packed.items()))
-    schedule.validate(graph)
+    schedule.validate(base)
     return _heuristic_result(
         f"greedy({strategy})", schedule, order,
         lower, delay_constraints, policy, meta,

@@ -228,7 +228,7 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
         # link the mesh could activate, and the full-topology index is
         # exactly the shape the engine's delta updates answer cheaply.
         conflicts = solver.conflict_index(
-            repair.alive, interference=repair.interference).graph
+            repair.alive, interference=repair.interference)
         conflict_ok = not repair.schedule.violations(conflicts)
         guarantee_ok = True
         for flow in repair.carried_flows:

@@ -50,6 +50,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
+from repro.core.conflict import ConflictIndex, as_index
 from repro.errors import ConfigurationError
 from repro.mesh16.messages import ScheduleAnnouncement
 from repro.resilience.config import ResilienceConfig
@@ -83,8 +84,9 @@ class ScheduleDistributor:
         coverage, epoch re-floods, commit gating, transition versions).
         ``None`` (the default) keeps the legacy fire-and-forget flood.
     conflicts:
-        Link conflict graph (:func:`repro.core.conflict.conflict_graph`),
-        required for automatic transition versions.  Without it the
+        Link conflict index or graph (see
+        :func:`repro.core.conflict.as_index`), required for automatic
+        transition versions.  Without it the
         resilient mode trusts the caller to only announce schedules whose
         union with the previous one is conflict-free.
     """
@@ -92,14 +94,15 @@ class ScheduleDistributor:
     def __init__(self, overlay: "TdmaOverlay", gateway: int,
                  rebroadcasts: int = 2,
                  resilience: Optional[ResilienceConfig] = None,
-                 conflicts: Optional["nx.Graph"] = None) -> None:
+                 conflicts: ConflictIndex | nx.Graph | None = None
+                 ) -> None:
         if rebroadcasts < 1:
             raise ConfigurationError("need at least one rebroadcast")
         self.overlay = overlay
         self.gateway = gateway
         self.rebroadcasts = rebroadcasts
         self.resilience = resilience
-        self.conflicts = conflicts
+        self.conflicts = None if conflicts is None else as_index(conflicts)
         self._next_version = 1
         #: highest version seen per node
         self.seen_version: dict[int, int] = {

@@ -31,10 +31,12 @@ from __future__ import annotations
 from typing import Optional, Union
 
 import networkx as nx
+import scipy.sparse as sp
 
 from repro.core.conflict import (
+    ConflictIndex,
     adjacency,
-    conflict_graph,
+    as_index,
     incidence,
     link_relation,
     relation_graph,
@@ -44,40 +46,46 @@ from repro.net.topology import Link, MeshTopology
 ModelLike = Union[int, "InterferenceModel", None]  # noqa: F821
 
 
-def interference_graph(topology: MeshTopology) -> nx.Graph:
-    """The exact link-interference relation implied by the channel model.
+def interference_relation(topology: MeshTopology
+                          ) -> tuple[list[Link], sp.csr_array]:
+    """The exact link-interference relation as ``(sorted links, CSR)``.
 
     One call of the conflict kernel
     (:func:`~repro.core.conflict.link_relation`): the reach of a link is
     its receiver's radio neighbourhood ``S_rx A``, its senders its
-    transmitter.  Vertex set, edge set and insertion order are identical
-    to an i < j pairwise scan's.
+    transmitter.
     """
     links = topology.links  # sorted directed links
     reach = incidence(topology, links, (1,)) @ adjacency(topology)
-    return relation_graph(links, link_relation(topology, links, reach, (0,)))
+    return links, link_relation(topology, links, reach, (0,))
 
 
-def _model_graph(topology: MeshTopology, hops: int,
-                 model: ModelLike) -> nx.Graph:
+def interference_graph(topology: MeshTopology) -> nx.Graph:
+    """The exact link-interference relation implied by the channel model.
+
+    :func:`interference_relation`, materialized: vertex set, edge set and
+    insertion order are identical to an i < j pairwise scan's.
+    """
+    return relation_graph(*interference_relation(topology))
+
+
+def _model_index(topology: MeshTopology, hops: int,
+                 model: ModelLike) -> ConflictIndex:
     """The abstraction under test: k-hop by default, or any model."""
-    if model is None:
-        return conflict_graph(topology, hops=hops)
     from repro.phy.models import coerce_interference
 
-    return coerce_interference(model).conflict_graph(topology)
+    return ConflictIndex(*coerce_interference(
+        model, default_hops=hops).relation(topology))
 
 
-def _truth_graph(topology: MeshTopology,
-                 truth: Optional[object]) -> nx.Graph:
+def _truth_index(topology: MeshTopology,
+                 truth: Optional[object]) -> ConflictIndex:
     """The ground-truth relation: channel-exact, a model, or a graph."""
     if truth is None:
-        return interference_graph(topology)
-    if isinstance(truth, nx.Graph):
-        return truth
-    from repro.phy.models import coerce_interference
-
-    return coerce_interference(truth).conflict_graph(topology)
+        return ConflictIndex(*interference_relation(topology))
+    if isinstance(truth, (nx.Graph, ConflictIndex)):
+        return as_index(truth)
+    return _model_index(topology, 2, truth)
 
 
 def uncovered_interference(topology: MeshTopology, hops: int = 2,
@@ -90,17 +98,16 @@ def uncovered_interference(topology: MeshTopology, hops: int = 2,
     abstraction (``hops``, or ``model=``) is collision-free under the
     ground truth (the channel rule, or ``truth=`` -- an
     :class:`~repro.phy.models.InterferenceModel`, a bare hops int, or a
-    prebuilt conflict graph).  The 1-hop model typically leaves pairs
+    prebuilt conflict index or graph).  The 1-hop model typically leaves pairs
     uncovered (hidden-terminal style); the 2-hop model covers the
     channel rule on every generator topology -- but *not* necessarily an
     SINR ground truth, whose interference reaches past two hops: those
     uncovered pairs are exactly what E23 measures.
     """
-    physical = _truth_graph(topology, truth)
-    abstraction = _model_graph(topology, hops, model)
-    missing = [tuple(sorted(edge)) for edge in physical.edges
-               if not abstraction.has_edge(*edge)]
-    return sorted(missing)
+    physical = _truth_index(topology, truth)
+    abstraction = _model_index(topology, hops, model)
+    return [pair for pair in physical.pairs()
+            if not abstraction.has_edge(*pair)]
 
 
 def overcautious_pairs(topology: MeshTopology, hops: int = 2,
@@ -114,8 +121,7 @@ def overcautious_pairs(topology: MeshTopology, hops: int = 2,
     truth it shows where the protocol model is *conservative* rather
     than unsafe.
     """
-    physical = _truth_graph(topology, truth)
-    abstraction = _model_graph(topology, hops, model)
-    extra = [tuple(sorted(edge)) for edge in abstraction.edges
-             if not physical.has_edge(*edge)]
-    return sorted(extra)
+    physical = _truth_index(topology, truth)
+    abstraction = _model_index(topology, hops, model)
+    return [pair for pair in abstraction.pairs()
+            if not physical.has_edge(*pair)]

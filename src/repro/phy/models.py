@@ -2,8 +2,8 @@
 
 The scheduler's conflict abstraction used to be a bare ``hops`` integer
 threaded through every layer.  This module turns it into a *seam*: an
-:class:`InterferenceModel` produces the conflict graph the
-:class:`~repro.core.engine.ConflictIndex` wraps, and everything above the
+:class:`InterferenceModel` produces the conflict relation a
+:class:`~repro.core.conflict.ConflictIndex` holds, and everything above the
 engine (``Scenario``, ``minimum_slots``, repair, mobility, the DCF
 baseline) accepts a model wherever it used to accept ``hops``.
 
@@ -44,9 +44,10 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.core.conflict import (
+    ConflictIndex,
     checked_links,
-    conflict_graph,
     link_relation,
+    protocol_relation,
     relation_graph,
 )
 from repro.errors import ConfigurationError
@@ -225,13 +226,13 @@ class McsTable:
 
 
 class InterferenceModel:
-    """The seam: anything that can produce a conflict graph for a mesh.
+    """The seam: anything that can produce a conflict relation for a mesh.
 
-    Implementations provide :meth:`conflict_graph` (same vertex/edge
-    conventions as :func:`repro.core.conflict.conflict_graph`: vertices
-    are sorted directed links, edges inserted in sorted order) and
+    Implementations provide :meth:`relation` (``(sorted links, CSR)``,
+    the conventions of :func:`repro.core.conflict.protocol_relation`;
+    :meth:`conflict_graph` materializes it) and
     :meth:`cache_token`, the value the engine keys its
-    :class:`~repro.core.engine.ConflictIndex` LRU by.  Tokens must change
+    :class:`~repro.core.conflict.ConflictIndex` LRU by.  Tokens must change
     whenever the conflict graph could: for :class:`ProtocolModel` the
     bare hops integer suffices (connectivity is already in the key); an
     :class:`SinrModel` folds in its parameters, the node positions and
@@ -240,9 +241,14 @@ class InterferenceModel:
 
     kind: str = "abstract"
 
+    def relation(self, topology: MeshTopology,
+                 links: Optional[Sequence[Link]] = None
+                 ) -> tuple[list[Link], sp.csr_array]:
+        raise NotImplementedError
+
     def conflict_graph(self, topology: MeshTopology,
                        links: Optional[Sequence[Link]] = None) -> nx.Graph:
-        raise NotImplementedError
+        return relation_graph(*self.relation(topology, links))
 
     def cache_token(self, topology: MeshTopology) -> object:
         raise NotImplementedError
@@ -256,7 +262,7 @@ class ProtocolModel(InterferenceModel):
 
     ``ProtocolModel(hops=k)`` and a bare ``hops=k`` are interchangeable
     everywhere: the engine routes both through the same cache key, delta
-    lineage and :func:`~repro.core.conflict.conflict_graph` build, so CSR
+    lineage and :func:`~repro.core.conflict.protocol_relation` build, so CSR
     arrays, conflict edges and canonical problem hashes are identical to
     the letter (the compatibility contract this refactor is pinned to).
     """
@@ -269,9 +275,10 @@ class ProtocolModel(InterferenceModel):
                 f"interference model needs integer hops >= 1, got {hops!r}")
         self.hops = hops
 
-    def conflict_graph(self, topology: MeshTopology,
-                       links: Optional[Sequence[Link]] = None) -> nx.Graph:
-        return conflict_graph(topology, hops=self.hops, links=links)
+    def relation(self, topology: MeshTopology,
+                 links: Optional[Sequence[Link]] = None
+                 ) -> tuple[list[Link], sp.csr_array]:
+        return protocol_relation(topology, self.hops, links)
 
     def cache_token(self, topology: MeshTopology) -> object:
         # The bare integer: engine keys stay exactly the pre-seam
@@ -438,14 +445,15 @@ class SinrModel(InterferenceModel):
 
     # -- the conflict relation --------------------------------------------
 
-    def conflict_graph(self, topology: MeshTopology,
-                       links: Optional[Sequence[Link]] = None) -> nx.Graph:
+    def relation(self, topology: MeshTopology,
+                 links: Optional[Sequence[Link]] = None
+                 ) -> tuple[list[Link], sp.csr_array]:
         """Links that cannot share a slot under physical interference.
 
-        Same conventions as :func:`repro.core.conflict.conflict_graph`:
-        sorted link vertices, edges inserted in sorted order, subset
-        links validated against the topology.  The conflict kernel's reach
-        is the thresholded SINR matrix of :meth:`_disturbed`.
+        Same conventions as :func:`repro.core.conflict.protocol_relation`:
+        sorted links, canonical CSR, subset links validated against the
+        topology.  The conflict kernel's reach is the thresholded SINR
+        matrix of :meth:`_disturbed`.
         """
         self._require_positions(topology)
         link_list = checked_links(topology, links)
@@ -454,7 +462,10 @@ class SinrModel(InterferenceModel):
             topology, link_list,
             sp.csr_array(self._disturbed(topology, link_list, rates)), (0,))
         obs.counter("phy.sinr.conflict_edges").inc(relation.nnz // 2)
-        return relation_graph(link_list, relation)
+        return link_list, relation
+
+    #: on the class itself: perfbench/tracer.py wraps it by name
+    conflict_graph = InterferenceModel.conflict_graph
 
     def _disturbed(self, topology: MeshTopology, link_list: Sequence[Link],
                    rates: dict[Link, McsEntry]
@@ -491,14 +502,10 @@ class SinrModel(InterferenceModel):
         """
         self._require_positions(topology)
         cs_range = self.carrier_sense_range_m()
-        pairs = []
-        conflicts = self.conflict_graph(topology, links)
-        for a, b in conflicts.edges:
-            if set(a) & set(b):
-                continue
-            if topology.distance(a[0], b[0]) > cs_range:
-                pairs.append(tuple(sorted((a, b))))
-        pairs.sort()
+        pairs = [(a, b) for a, b in
+                 ConflictIndex(*self.relation(topology, links)).pairs()
+                 if not set(a) & set(b)
+                 and topology.distance(a[0], b[0]) > cs_range]
         if pairs:
             obs.counter("phy.sinr.hidden_pairs").inc(len(pairs))
         return pairs

@@ -26,6 +26,7 @@ from typing import Mapping, Optional
 import networkx as nx
 
 from repro.core.besteffort import TwoClassSchedule, schedule_two_classes
+from repro.core.conflict import ConflictIndex, as_index
 from repro.core.greedy import greedy_schedule
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError, InfeasibleScheduleError
@@ -34,7 +35,7 @@ from repro.net.topology import Link, MeshTopology
 from repro.qos.model import ServiceFlowSet, route_service_flows
 
 
-def schedule_service_classes(conflicts: nx.Graph,
+def schedule_service_classes(conflicts: ConflictIndex | nx.Graph,
                              service_flows: ServiceFlowSet,
                              frame: MeshFrameConfig,
                              search: str = "linear") -> TwoClassSchedule:
@@ -60,7 +61,7 @@ def schedule_service_classes(conflicts: nx.Graph,
                                 search=search)
 
 
-def waterfill_grants(conflicts: nx.Graph,
+def waterfill_grants(conflicts: ConflictIndex | nx.Graph,
                      min_demands: Mapping[Link, int],
                      asks: Mapping[Link, int],
                      frame_slots: int) -> dict[Link, int]:
@@ -74,6 +75,7 @@ def waterfill_grants(conflicts: nx.Graph,
     frozen.  Deterministic; terminates when every link is satisfied or
     frozen.
     """
+    conflicts = as_index(conflicts)
     grants: dict[Link, int] = {}
     for link in asks:
         grants[link] = int(min_demands.get(link, 0))
@@ -145,7 +147,7 @@ def grant_schedule_for(topology: MeshTopology,
         raise ConfigurationError("no routed service flows to schedule")
     conflicts = engine.conflict_index(topology, hops=conflict_hops,
                                       interference=interference,
-                                      links=all_links).graph
+                                      links=all_links)
     grants = waterfill_grants(conflicts, min_demands, asks,
                               frame.data_slots)
     schedule = greedy_schedule(conflicts, grants, frame.data_slots)

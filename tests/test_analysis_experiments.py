@@ -129,10 +129,22 @@ def test_e08_shape():
 
 @pytest.mark.slow
 def test_e10_shape():
-    result = ex.e10_solver_scaling(grid_sizes=((2, 2), (3, 3)))
+    from repro import obs
+
+    with obs.use_registry(obs.MetricsRegistry()) as registry:
+        result = ex.e10_solver_scaling(grid_sizes=((2, 2), (2, 3), (3, 3)))
     assert_well_formed(result)
-    small, large = result.rows
+    small, large = result.rows[0], result.rows[-1]
     assert large[2] >= small[2]  # variables grow with the mesh
+    # the warm SolverEngine arm reproduces the cold searches bitwise while
+    # certifying probes via Bellman-Ford shortcuts
+    for row in result.rows:
+        cold_ilp, warm_ilp, shortcuts, identical = row[8:12]
+        assert identical, f"warm/cold mismatch: {row}"
+        assert shortcuts > 0, f"no BF shortcuts: {row}"
+        assert warm_ilp < cold_ilp, f"warm arm saved nothing: {row}"
+    counters = registry.snapshot()["counters"]
+    assert counters.get("core.engine.bf_shortcuts", 0) > 0, counters
 
 
 @pytest.mark.slow

@@ -239,7 +239,7 @@ class TestScenarioMobility:
 
 
 class TestSolverPolicySeam:
-    """Scenario(solver=) and the deprecated schedule() kwargs (ISSUE 8)."""
+    """Scenario(solver=) selects the solver arm."""
 
     def _disk(self):
         from repro.net.topology import random_disk_topology
@@ -295,41 +295,6 @@ class TestSolverPolicySeam:
         scenario = Scenario(topo, flows, engine=engine, solver="exact")
         assert scenario.route().schedule().meta is None
 
-    def test_deprecated_schedule_kwargs_warn_once_and_still_work(self):
-        import warnings
-
-        from repro import _deprecation
-
-        topo, flows = self._disk()
-        scenario = Scenario(topo, list(flows)).route()
-        plain = scenario.schedule()
-        _deprecation.reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = scenario.schedule(search="binary")
-            scenario.schedule(search="binary")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "SolverPolicy" in str(deprecations[0].message)
-        assert shimmed.slots == plain.slots  # binary finds the same K
-
-    def test_deprecated_max_region_kwarg_folds_into_the_policy(self):
-        import warnings
-
-        from repro import _deprecation
-
-        topo, flows = self._disk()
-        scenario = Scenario(topo, list(flows)).route()
-        baseline = scenario.schedule()
-        _deprecation.reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            capped = scenario.schedule(max_region=baseline.slots)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert capped.slots == baseline.slots
-
 
 class TestInterferenceSeam:
     """Scenario(interference=...) and its hops= interplay (ISSUE 10)."""
@@ -353,15 +318,6 @@ class TestInterferenceSeam:
         scenario = Scenario(chain_topology(6), _flows(), hops=1)
         assert scenario.interference.hops == 1
         assert scenario.hops == 1
-
-    def test_bare_int_interference_warns_once_and_coerces(self):
-        from repro._deprecation import reset_warned
-
-        reset_warned()
-        with pytest.warns(DeprecationWarning, match="hops="):
-            scenario = Scenario(chain_topology(6), _flows(),
-                                interference=1)
-        assert scenario.interference.hops == 1
 
     def test_sinr_backend_flows_through_conflicts(self):
         from repro.phy.models import SinrModel

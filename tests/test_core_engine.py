@@ -254,6 +254,46 @@ def test_scenario_shares_engine_across_properties():
     assert scenario.engine.stats["index_hits"] >= 2
 
 
+def test_solver_stack_never_materializes_a_graph(monkeypatch):
+    """The solver stack runs on the index's CSR: no graph is ever built.
+
+    With graph materialization made fatal, every solver arm, the repair
+    path and admission control must still complete -- a ``.graph``
+    unwrap or an nx-edge walk anywhere on these paths fails here.
+    """
+    import repro.core.conflict as conflict
+    from repro.analysis.scenarios import admit_flows
+    from repro.api import Scenario
+    from repro.net.topology import random_disk_topology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a conflict graph was materialized")
+
+    monkeypatch.setattr(conflict, "relation_graph", refuse)
+    topo = random_disk_topology(16, radio_range=120.0, area=350.0, seed=11)
+    nodes = sorted(topo.nodes)
+    flows = [Flow(f"f{i}", src=nodes[i], dst=nodes[-1 - i],
+                  rate_bps=60_000, delay_budget_s=0.1) for i in range(4)]
+    for mode in ("exact", "greedy", "zoned"):
+        scenario = Scenario(topo, list(flows), solver=mode).route()
+        result = scenario.schedule()
+        assert result.feasible
+        index = scenario.engine.conflict_index(
+            topo, links=sorted(scenario.demands))
+        assert result.schedule.violations(index) == []
+
+    grid = grid_topology(3, 3)
+    frame = default_frame_config()
+    routed = route_all(grid, FlowSet([
+        Flow("f0", src=8, dst=0, rate_bps=64_000, delay_budget_s=0.1),
+        Flow("f1", src=6, dst=0, rate_bps=64_000, delay_budget_s=0.1)]))
+    repair = RepairEngine(grid, frame)
+    repair.install(list(routed))
+    assert repair.retarget(frozenset(), frozenset({(0, 1)})).feasible
+    admitted, schedule = admit_flows(grid, routed, frame)
+    assert len(admitted) == 2 and len(schedule) > 0
+
+
 # -- delta updates and in-place mutation ------------------------------------
 
 

@@ -1,23 +1,16 @@
-"""Deprecation shims: old spellings keep working and warn exactly once."""
+"""Retired spellings fail loudly; the package consumes no deprecated API."""
 
 import warnings
 
 import pytest
 
-from repro import _deprecation
 from repro.core.minslots import minimum_slots
 from repro.core.conflict import conflict_graph
+from repro.errors import ConfigurationError
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import route_all
 from repro.net.topology import chain_topology
 from repro.mesh16.frame import default_frame_config
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    _deprecation.reset_warned()
-    yield
-    _deprecation.reset_warned()
 
 
 def _search():
@@ -31,32 +24,10 @@ def _search():
                          demands, frame.data_slots)
 
 
-def test_warn_once_warns_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _deprecation.warn_once("k", "old spelling")
-        _deprecation.warn_once("k", "old spelling")
-        _deprecation.warn_once("other", "different key")
-    assert len(caught) == 2
-    assert all(issubclass(w.category, DeprecationWarning) for w in caught)
-
-
-def test_minslot_result_dot_result_warns_once_and_still_works():
-    search = _search()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = search.result          # deprecated spelling
-        legacy_again = search.result    # second access: no second warning
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert ".schedule" in str(deprecations[0].message)
-    # the shim still hands back the full ILP result
-    assert legacy is legacy_again is search.ilp
-    assert legacy.schedule.to_dict() == search.schedule.to_dict()
-
-
 def test_new_spellings_do_not_warn():
+    """The current spellings are silent; every retired one raises."""
+    from repro import Scenario
+
     search = _search()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -65,6 +36,25 @@ def test_new_spellings_do_not_warn():
         assert search.feasible
     assert not [w for w in caught
                 if issubclass(w.category, DeprecationWarning)]
+
+    # MinSlotResult.result was an alias of .ilp
+    with pytest.raises(AttributeError):
+        search.result
+    # Scenario(interference=<int>) was an alias of hops=<int>
+    topo = chain_topology(4)
+    flows = [Flow("f", src=0, dst=3, rate_bps=64_000, delay_budget_s=0.1)]
+    with pytest.raises(ConfigurationError, match="hops="):
+        Scenario(topo, flows, interference=1)
+    # the per-call solver knobs moved into Scenario(solver=SolverPolicy())
+    scenario = Scenario(topo, flows).route()
+    for kwarg, value in (("search", "binary"), ("max_region", 4),
+                         ("time_limit_per_probe", 5.0)):
+        with pytest.raises(TypeError, match=kwarg):
+            scenario.schedule(**{kwarg: value})
+    with pytest.raises(TypeError):
+        scenario.schedule("binary")
+    with pytest.raises(ModuleNotFoundError):
+        import repro._deprecation  # noqa: F401
 
 
 def test_repro_itself_triggers_zero_deprecation_warnings():

@@ -6,13 +6,26 @@ orders, Bellman-Ford probe certification, problem caching -- must return
 probe log (regions and verdicts in order), same schedule table, on
 arbitrary small meshes; and repeated searches through one engine must
 not contaminate each other.
+
+The representation contract: every consumer returns identical results
+on a conflict graph and on ``as_index(graph)``, whatever order the
+graph's nodes and edges were inserted in.
 """
 
+import networkx as nx
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import SolverEngine
+from repro.core.conflict import as_index, conflict_graph, conflicting_pairs
+from repro.core.engine import SolverEngine, canonical_problem_key
+from repro.core.greedy import greedy_schedule
+from repro.core.ilp import SchedulingProblem, solve_schedule_ilp
 from repro.core.minslots import minimum_slots
+from repro.core.ordering import TransmissionOrder, schedule_from_order
+from repro.core.schedule import Schedule, SlotBlock
+from repro.errors import InfeasibleScheduleError
 from repro.mesh16.frame import default_frame_config
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import route_all
@@ -109,3 +122,136 @@ def test_engine_reuse_across_searches_is_isolated(instance):
         # cache hits hand out independent copies, never aliases
         assert second.schedule is not first.schedule
         assert second.ilp.order is not first.ilp.order
+
+
+# -- the representation contract: graph == as_index(graph) -----------------
+
+
+def _scrambled(graph, rng):
+    """The same graph, nodes and edges inserted in a shuffled order."""
+    nodes = list(graph.nodes)
+    edges = [(b, a) if rng.random() < 0.5 else (a, b)
+             for a, b in graph.edges]
+    scrambled = nx.Graph()
+    scrambled.add_nodes_from(nodes[i] for i in rng.permutation(len(nodes)))
+    scrambled.add_edges_from(edges[i] for i in rng.permutation(len(edges)))
+    return scrambled
+
+
+@st.composite
+def conflict_instances(draw):
+    """A conflict graph (of a random disk, or hand-built) plus demands."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        topology = random_disk_topology(
+            draw(st.integers(min_value=3, max_value=7)), radio_range=45.0,
+            area=80.0, seed=seed)
+        graph = conflict_graph(topology, hops=draw(st.sampled_from([1, 2])))
+    else:
+        links = sorted({(int(a), int(b))
+                        for a, b in rng.integers(0, 6, size=(9, 2))
+                        if a != b})
+        graph = nx.Graph()
+        graph.add_nodes_from(links)
+        graph.add_edges_from(
+            (a, b) for i, a in enumerate(links) for b in links[i + 1:]
+            if rng.random() < 0.4)
+    links = sorted(graph.nodes)
+    demands = {link: int(rng.integers(0, 3)) for link in links}
+    return _scrambled(graph, rng), demands, rng
+
+
+def _same_schedule(a, b):
+    assert a.frame_slots == b.frame_slots
+    assert a.to_dict() == b.to_dict()
+
+
+@given(conflict_instances())
+@settings(max_examples=30, deadline=None)
+def test_graph_and_index_agree_on_every_consumer(instance):
+    graph, demands, rng = instance
+    index = as_index(graph)
+    forms = (graph, index, _scrambled(graph, rng))
+
+    # the upper-triangle reader is the sorted edge list
+    assert list(conflicting_pairs(graph)) == sorted(
+        tuple(sorted(edge)) for edge in graph.edges)
+
+    # S8: a random (overlapping) slot assignment
+    frame = 6
+    schedule = Schedule(frame, {
+        link: SlotBlock(int(rng.integers(0, frame - 1)), 1)
+        for link in index.links if rng.random() < 0.8})
+    expected = sorted(tuple(sorted((a, b))) for a, b in graph.edges
+                      if a in schedule and b in schedule
+                      and schedule.block(a).overlaps(schedule.block(b)))
+    for form in forms:
+        assert schedule.violations(form) == expected
+
+    # Bellman-Ford recovery, earliest and latest, and its failure mode
+    ranking = [index.links[i] for i in rng.permutation(index.num_links)]
+    order = TransmissionOrder.from_ranking(ranking)
+    budget = sum(demands.values()) + 1
+    for earliest in (True, False):
+        results = [schedule_from_order(form, demands, budget, order,
+                                       earliest=earliest) for form in forms]
+        for other in results[1:]:
+            _same_schedule(results[0], other)
+    tight = max(1, max(demands.values(), default=1))
+    errors = []
+    for form in forms:
+        try:
+            errors.append(schedule_from_order(form, demands, tight,
+                                              order).to_dict())
+        except InfeasibleScheduleError as exc:
+            errors.append(str(exc))
+    assert errors[1:] == errors[:-1]
+
+    # greedy packing under every strategy
+    for strategy in ("demand", "index", "random"):
+        packed = [greedy_schedule(form, demands, strategy=strategy,
+                                  rng=np.random.default_rng(7))
+                  for form in forms]
+        for other in packed[1:]:
+            _same_schedule(packed[0], other)
+
+    # problem keys
+    keys = {canonical_problem_key(SchedulingProblem(form, demands, budget))
+            for form in forms}
+    assert len(keys) == 1
+
+
+@given(conflict_instances())
+@settings(max_examples=10, deadline=None)
+def test_graph_and_index_agree_on_the_ilp(instance):
+    graph, demands, rng = instance
+    forms = (graph, as_index(graph), _scrambled(graph, rng))
+    total = sum(demands.values())
+    results = [solve_schedule_ilp(SchedulingProblem(
+        form, demands, total + 2, region_slots=max(2, total // 2)))
+        for form in forms]
+    first = results[0]
+    for other in results[1:]:
+        assert other.feasible == first.feasible
+        assert (other.num_variables, other.num_constraints) == (
+            first.num_variables, first.num_constraints)
+        if first.feasible:
+            _same_schedule(first.schedule, other.schedule)
+            pairs = list(conflicting_pairs(graph))
+            assert ([first.order.precedes(a, b) for a, b in pairs
+                     if first.order.knows(a, b)]
+                    == [other.order.precedes(a, b) for a, b in pairs
+                        if other.order.knows(a, b)])
+
+
+def test_engine_index_and_its_graph_share_a_problem_key():
+    topology = random_disk_topology(6, radio_range=45.0, area=80.0, seed=4)
+    index = SolverEngine().conflict_index(topology)
+    demands = {link: 1 for link in index.links}
+    assert (canonical_problem_key(SchedulingProblem(index, demands, 9))
+            == canonical_problem_key(SchedulingProblem(index.graph,
+                                                       demands, 9)))
+    with pytest.raises(InfeasibleScheduleError):
+        schedule_from_order(index.graph, demands, 1,
+                            TransmissionOrder.from_ranking(index.links))
