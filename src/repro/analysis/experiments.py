@@ -1512,7 +1512,7 @@ def e21_zoned_scaling(sizes: Sequence[tuple[int, int]] = ((24, 16),
 
     The three wall-clock columns come last so the deterministic prefix
     of each row is directly comparable between serial and sharded runs
-    (the E21 CI smoke diffs exactly that prefix).
+    (``tests/test_experiment_identity.py`` compares all other columns).
     """
     import time as time_mod
 
@@ -1614,8 +1614,9 @@ def e22_chaos_sweep(intensities: Sequence[float] = (0.0, 0.3, 0.6, 1.0),
 
     Chaos decisions are content-keyed (pure functions of seed, task
     key, and attempt), so this table is reproducible at any ``--jobs``
-    value; the CI smoke step diffs serial vs ``--jobs 2`` output of
-    exactly this experiment.
+    value; ``tests/test_experiment_identity.py`` compares serial (sqlite
+    ledger) vs ``--jobs 2`` (jsonl ledger) runs of exactly this
+    experiment.
     """
     import pathlib
     import shutil

@@ -68,19 +68,13 @@ def delay_constraints_for(flows: FlowSet,
     """DelayConstraints for every guaranteed flow, budgets in data slots.
 
     A budget of ``delay_budget_s`` translates to whole data slots of the
-    frame; the frame-slot unit is what the ILP reasons in.
+    frame (:func:`repro.core.ilp.delay_budget_slots`); the frame-slot unit
+    is what the ILP reasons in.
     """
-    from repro.core.ilp import DelayConstraint
+    from repro.core.ilp import delay_constraints
 
-    slot_s = frame_config.frame_duration_s / frame_config.data_slots
-    constraints = []
-    for flow in flows.guaranteed():
-        budget = int(flow.delay_budget_s / slot_s)
-        if budget < 1:
-            raise ConfigurationError(
-                f"flow {flow.name}: budget below one slot")
-        constraints.append(DelayConstraint(flow.name, flow.route, budget))
-    return constraints
+    return delay_constraints(flows, frame_config.frame_duration_s,
+                             frame_config.data_slots)
 
 
 def schedule_for_flows(topology: MeshTopology, flows: FlowSet,

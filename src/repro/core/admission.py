@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.conflict import conflict_graph
-from repro.core.ilp import DelayConstraint
+from repro.core.engine import SolverEngine
+from repro.core.ilp import delay_constraints
 from repro.core.minslots import MinSlotResult, minimum_slots
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
@@ -80,7 +80,11 @@ class AdmissionController:
         #: infeasible instances -- the expensive ones -- than "linear"
         self.search = search
         self.time_limit_per_probe_s = time_limit_per_probe_s
-        self.conflicts = conflict_graph(topology, hops=conflict_hops)
+        #: solved probes shared across this controller's admissions and
+        #: releases, over one full-topology conflict index
+        self.engine = SolverEngine()
+        self.conflicts = self.engine.conflict_index(topology,
+                                                    hops=conflict_hops)
         self.admitted = FlowSet()
         self.schedule: Optional[Schedule] = None
         self.slots_used = 0
@@ -89,26 +93,16 @@ class AdmissionController:
     def slot_duration_s(self) -> float:
         return self.frame_duration_s / self.frame_slots
 
-    def _delay_constraints(self, flows: FlowSet) -> list[DelayConstraint]:
-        constraints = []
-        for flow in flows.guaranteed():
-            budget_slots = int(flow.delay_budget_s / self.slot_duration_s)
-            if budget_slots < 1:
-                raise ConfigurationError(
-                    f"flow {flow.name}: delay budget {flow.delay_budget_s}s "
-                    "is below one slot")
-            constraints.append(DelayConstraint(
-                name=flow.name, route=flow.route, budget_slots=budget_slots))
-        return constraints
-
     def _schedule_flows(self, flows: FlowSet) -> MinSlotResult:
         demands = flows.link_demands(self.frame_duration_s,
                                      self.slot_capacity_bits)
         return minimum_slots(
             self.conflicts, demands, self.frame_slots,
-            delay_constraints=self._delay_constraints(flows),
+            delay_constraints=delay_constraints(
+                flows, self.frame_duration_s, self.frame_slots),
             max_region=self.region_cap, search=self.search,
-            time_limit_per_probe=self.time_limit_per_probe_s)
+            time_limit_per_probe=self.time_limit_per_probe_s,
+            engine=self.engine)
 
     def try_admit(self, flow: Flow) -> AdmissionDecision:
         """Attempt to admit ``flow``; commits state only on success."""

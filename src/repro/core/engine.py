@@ -57,8 +57,10 @@ byte-identical counter JSON, and merged per-task registries must be
 identical for any ``--jobs`` (S33).  A process-global cache would break
 that (the second identical run would count fewer solves), so caches are
 scoped to an **owning object**: :class:`~repro.api.Scenario`,
-:class:`~repro.core.repair.RepairEngine` and each experiment construct a
-fresh ``SolverEngine()`` whose caches live and die with them, while the
+:class:`~repro.core.repair.RepairEngine`,
+:class:`~repro.core.admission.AdmissionController` and each experiment
+construct a fresh ``SolverEngine()`` whose caches live and die with them,
+while the
 module-level :func:`default_engine` -- which backs the bare public
 functions -- is *stateless* (warm-start only, no cross-call caches).
 Warm-start shortcuts are a pure function of one search's inputs, so they
@@ -534,9 +536,11 @@ class SolverEngine:
         cached = self._lru_get(self._problems, key, "problem_hits")
         if cached is not None:
             return _copy_result(cached)
+        # counted before the call, like ``core.ilp.solves``: a probe that
+        # exhausts its budget raises but still paid for a solve
+        self.stats["ilp_solves"] += 1
         result = solve_schedule_ilp(problem, time_limit=time_limit,
                                     node_limit=node_limit)
-        self.stats["ilp_solves"] += 1
         if self.max_problems > 0:
             self._lru_put(self._problems, key, _copy_result(result),
                           self.max_problems)

@@ -66,6 +66,29 @@ class DelayConstraint:
                 raise ConfigurationError(f"{self.name}: route not contiguous")
 
 
+def delay_budget_slots(flow, frame_duration_s: float, data_slots: int) -> int:
+    """``flow``'s delay budget in whole data slots, partial slots dropped.
+
+    The one seconds-to-slots rule of scenarios, admission and repair; a
+    budget below one slot raises :class:`~repro.errors.ConfigurationError`.
+    """
+    slots = int(flow.delay_budget_s / (frame_duration_s / data_slots))
+    if slots < 1:
+        raise ConfigurationError(
+            f"flow {flow.name}: delay budget {flow.delay_budget_s}s "
+            "is below one slot")
+    return slots
+
+
+def delay_constraints(flows, frame_duration_s: float,
+                      data_slots: int) -> list[DelayConstraint]:
+    """A :class:`DelayConstraint` per flow with a delay budget, in order."""
+    return [DelayConstraint(flow.name, flow.route,
+                            delay_budget_slots(flow, frame_duration_s,
+                                               data_slots))
+            for flow in flows if flow.delay_budget_s is not None]
+
+
 @dataclass
 class SchedulingProblem:
     """Inputs to the delay-aware scheduling ILP."""

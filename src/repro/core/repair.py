@@ -36,17 +36,16 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro import obs
-from repro.core.delay import path_delay_slots
 from repro.core.engine import SolverEngine
-from repro.core.ilp import DelayConstraint
-from repro.core.minslots import MinSlotResult, minimum_slots
-from repro.core.ordering import TransmissionOrder, schedule_from_order
-from repro.core.schedule import Schedule
-from repro.errors import (
-    AdmissionError,
-    ConfigurationError,
-    InfeasibleScheduleError,
+from repro.core.ilp import (
+    DelayConstraint,
+    delay_budget_slots,
+    delay_constraints,
 )
+from repro.core.minslots import MinSlotResult, minimum_slots
+from repro.core.ordering import TransmissionOrder
+from repro.core.schedule import Schedule
+from repro.errors import AdmissionError, ConfigurationError
 from repro.mesh16.frame import MeshFrameConfig
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import shortest_path_route
@@ -195,9 +194,9 @@ class RepairEngine:
         return self._dead_edges
 
     def budget_slots(self, flow: Flow) -> int:
-        """A flow's delay budget in data slots (admission-controller rule)."""
-        slot_s = self.frame.frame_duration_s / self.frame.data_slots
-        return int(flow.delay_budget_s / slot_s)
+        """A flow's delay budget in data slots (the shared ILP rule)."""
+        return delay_budget_slots(flow, self.frame.frame_duration_s,
+                                  self.frame.data_slots)
 
     # -- installation -------------------------------------------------------
 
@@ -414,16 +413,8 @@ class RepairEngine:
             self.frame.frame_duration_s, self.frame.data_slot_capacity_bits)
 
     def _delay_constraints(self, flows: list[Flow]) -> list[DelayConstraint]:
-        constraints = []
-        for flow in flows:
-            if flow.delay_budget_s is None:
-                continue
-            budget = self.budget_slots(flow)
-            if budget < 1:
-                raise ConfigurationError(
-                    f"flow {flow.name}: budget below one slot")
-            constraints.append(DelayConstraint(flow.name, flow.route, budget))
-        return constraints
+        return delay_constraints(flows, self.frame.frame_duration_s,
+                                 self.frame.data_slots)
 
     def _solve(self, flows: list[Flow],
                topology: Optional[MeshTopology] = None) -> MinSlotResult:
@@ -468,18 +459,11 @@ class RepairEngine:
     def _local_repair(self, flows: list[Flow], demands: dict[Link, int],
                       conflicts) -> Optional[Schedule]:
         """Order-preserving Bellman-Ford repair; None if infeasible."""
-        order = self._spliced_order(flows, demands)
-        try:
-            schedule = schedule_from_order(conflicts, demands,
-                                           self.frame.data_slots, order)
-        except InfeasibleScheduleError:
-            return None
-        for flow in flows:
-            if flow.delay_budget_s is None:
-                continue
-            if path_delay_slots(schedule, flow.route) > self.budget_slots(flow):
-                return None
-        return schedule
+        slots = self.frame.data_slots
+        return self.engine.certify_order(
+            conflicts, demands, slots, slots,
+            self._delay_constraints(flows),
+            self._spliced_order(flows, demands))
 
     def _commit(self, carried: dict[str, Flow], schedule: Schedule,
                 bump: bool) -> None:

@@ -89,10 +89,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: a minutes-long HiGHS infeasibility proof.  A *node* budget rather
 #: than a wall clock keeps zone verdicts deterministic -- the same
 #: instance produces the same schedule serial or parallel, loaded or
-#: idle -- which is what the CI serial-vs-parallel bitwise-identity
-#: check relies on.  Calibrated so an undecided probe on a worst-case
-#: 32-link zone costs well under a second; easy verdicts (presolve or
-#: root-node proofs) are unaffected.
+#: idle -- which is what the serial-vs-parallel identity test
+#: (``tests/test_experiment_identity.py``) relies on.  Calibrated so an
+#: undecided probe on a worst-case 32-link zone costs well under a
+#: second; easy verdicts (presolve or root-node proofs) are unaffected.
 DEFAULT_ZONE_PROBE_NODE_LIMIT = 100
 
 

@@ -208,6 +208,19 @@ def test_chaos_flag_produces_identical_tables(capsys):
     assert clean == chaotic
 
 
+def test_param_overrides_reach_the_experiment(capsys):
+    assert main(["E21", "--no-cache", "--param", "sizes=[[24,16]]",
+                 "--param", "exact_link_cap=0"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] == ["24"]]
+    assert len(rows) == 1
+
+
+def test_param_without_equals_sign_rejected(capsys):
+    assert main(["E21", "--no-cache", "--param", "sizes"]) == 2
+    assert "KEY=VALUE" in capsys.readouterr().err
+
+
 def test_chaos_rejects_bad_intensity(capsys):
     assert main(["E9", "--chaos", "1.5"]) == 2
     assert "error" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from repro import obs
 from repro.core.admission import AdmissionController
 from repro.errors import ConfigurationError
 from repro.net.flows import Flow
-from repro.net.topology import chain_topology, star_topology
+from repro.net.topology import chain_topology, grid_topology, star_topology
 
 
 def controller(topology=None, frame_slots=16, region=None):
@@ -142,6 +142,17 @@ class TestConfiguration:
     def test_invalid_frame_params(self):
         with pytest.raises(ConfigurationError):
             AdmissionController(chain_topology(3), 16, 0.0, 1000)
+
+    def test_degenerate_hops_guard_runs_on_the_full_mesh(self):
+        # At 3 hops every link touching the 3x3 grid's centre reaches the
+        # whole mesh, but the mesh as a whole is not degenerate: a flow
+        # whose route only touches the centre must still be admitted.
+        ctrl = AdmissionController(
+            grid_topology(3, 3), frame_slots=16, frame_duration_s=0.010,
+            slot_capacity_bits=2000, conflict_hops=3)
+        decision = ctrl.try_admit(
+            voip_flow("a", 3, 5).with_route([(3, 4), (4, 5)]))
+        assert decision.admitted
 
     def test_slot_duration(self):
         ctrl = controller(frame_slots=10)

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro import obs
+from repro.core.admission import AdmissionController
 from repro.core.conflict import conflict_graph, max_conflict_clique_demand
 from repro.core.engine import (
     BF_CERTIFIED,
@@ -14,6 +15,7 @@ from repro.core.engine import (
     topology_fingerprint,
 )
 from repro.core.ilp import SchedulingProblem
+from repro.core.policy import SolverPolicy
 from repro.core.repair import RepairEngine
 from repro.errors import ConfigurationError
 from repro.mesh16.distributed import DistributedScheduler
@@ -22,6 +24,12 @@ from repro.net.flows import Flow, FlowSet
 from repro.net.routing import route_all
 from repro.net.topology import chain_topology, grid_topology
 from repro.phy.interference import interference_graph
+from repro.qos import (
+    QosAdmissionController,
+    ServiceClass,
+    ServiceFlow,
+    TrafficContract,
+)
 
 
 @pytest.fixture
@@ -159,6 +167,20 @@ def test_problem_cache_returns_equal_but_independent_results(registry):
     assert snap["counters"]["core.engine.problem_hits"] == 1
 
 
+def test_ilp_solves_stat_counts_undecided_probes(registry):
+    """Probes that exhaust their node budget raise inside ``solve`` but
+    still ran HiGHS: the engine stat must match ``core.ilp.solves``."""
+    topo = grid_topology(3, 3)
+    demands = {link: 1 for link in sorted(topo.links)}
+    engine = SolverEngine()
+    engine.minimum_slots(
+        engine.conflict_index(topo, links=sorted(demands)), demands, 64,
+        policy=SolverPolicy(mode="exact", node_limit_per_probe=1))
+    counters = registry.snapshot()["counters"]
+    assert counters["core.minslots.probe_timeouts"] > 0
+    assert engine.stats["ilp_solves"] == counters["core.ilp.solves"]
+
+
 def test_default_engine_is_stateless():
     engine = default_engine()
     assert engine.max_indexes == 0 and engine.max_problems == 0
@@ -292,6 +314,18 @@ def test_solver_stack_never_materializes_a_graph(monkeypatch):
     assert repair.retarget(frozenset(), frozenset({(0, 1)})).feasible
     admitted, schedule = admit_flows(grid, routed, frame)
     assert len(admitted) == 2 and len(schedule) > 0
+
+    controller = AdmissionController(
+        grid, frame.data_slots, frame.frame_duration_s,
+        frame.data_slot_capacity_bits)
+    for flow in routed:
+        assert controller.try_admit(flow).admitted
+    controller.release("f0")
+    assert controller.admitted_count() == 1
+    qos = QosAdmissionController(grid, frame)
+    assert qos.request(ServiceFlow(
+        "v0", 8, 0, ServiceClass.RTPS, TrafficContract(
+            min_reserved_rate_bps=64_000, max_latency_s=0.1))).admitted
 
 
 # -- delta updates and in-place mutation ------------------------------------

@@ -134,6 +134,29 @@ class TestNodeChurn:
         assert_valid(engine)
 
 
+class TestSplicedOrder:
+    def test_spliced_order_covers_every_demanded_link(self, grid33,
+                                                       monkeypatch):
+        # Local repair certifies the spliced order; an order missing a
+        # demanded link would silently fall back to a full re-solve.
+        engine = make_engine(grid33)
+        engine.install([gateway_flow("f1", 8), gateway_flow("f2", 2),
+                        gateway_flow("f3", 6)])
+        spliced = RepairEngine._spliced_order
+        calls = []
+
+        def checked(self, flows, demands):
+            order = spliced(self, flows, demands)
+            calls.append(set(demands) <= set(order.links()))
+            return order
+
+        monkeypatch.setattr(RepairEngine, "_spliced_order", checked)
+        for link in ((0, 1), (5, 8), (3, 4)):
+            assert engine.apply(FaultEvent(1.0, "link_down", link=link)
+                                ).feasible
+        assert calls and all(calls)
+
+
 class TestResolveFallback:
     def test_chain_cut_forces_resolve_or_park(self, chain5):
         """On a chain there is no detour: the cut partitions the mesh."""
