@@ -3,8 +3,8 @@
 Unlike the experiment benches (one-shot table generation), these use
 pytest-benchmark's statistical timing to track the cost of the hot
 primitives a deployment would re-run online: conflict-graph construction,
-Bellman-Ford schedule recovery, greedy packing, S8 validation, feasibility
-ILPs and the delay computation.
+Bellman-Ford schedule recovery, greedy packing, S8 validation, the probe
+search's clique bound, feasibility ILPs and the delay computation.
 """
 
 import functools
@@ -12,7 +12,11 @@ import math
 
 import pytest
 
-from repro.core.conflict import conflict_graph
+from repro.core.conflict import (
+    conflict_clique_demand,
+    conflict_graph,
+    max_conflict_clique_demand,
+)
 from repro.core.delay import path_delay_slots
 from repro.core.engine import SolverEngine
 from repro.core.greedy import greedy_schedule
@@ -87,6 +91,15 @@ def test_bench_micro_greedy_scaling(benchmark, num_nodes, form):
     schedule = benchmark.pedantic(greedy_schedule, args=(conflicts, demands),
                                   rounds=3, iterations=1)
     assert schedule.to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("num_nodes", [100, 300, 600])
+def test_bench_micro_clique_bound_scaling(benchmark, num_nodes):
+    # the probe search's starting bound with every full-mesh link demanded
+    index, demands, _ = full_mesh(num_nodes)
+    bound = benchmark.pedantic(conflict_clique_demand,
+                               args=(index, demands), rounds=3, iterations=1)
+    assert bound >= max_conflict_clique_demand(index, demands)
 
 
 @pytest.mark.parametrize("num_nodes", [100, 200])

@@ -300,8 +300,11 @@ class ConflictIndex:
                 for i, j in zip(rows.tolist(), cols.tolist())]
 
     def clique_demand_bound(self, demands: Mapping[Link, int]) -> int:
-        """The node-induced clique lower bound on frame slots
-        (:func:`max_conflict_clique_demand`; needs only the demands)."""
+        """The per-node demand sum (:func:`max_conflict_clique_demand`).
+
+        Reads only the demands, never the relation; the probe search
+        starts from the stronger :func:`conflict_clique_demand`.
+        """
         return max_conflict_clique_demand(self, demands)
 
 
@@ -348,12 +351,13 @@ def conflict_degree(conflicts: ConflictIndex | nx.Graph) -> dict[Link, int]:
 
 def max_conflict_clique_demand(conflicts: ConflictIndex | nx.Graph,
                                demands: Mapping[Link, int]) -> int:
-    """A lower bound on frame slots: the heaviest known clique of conflicts.
+    """A lower bound on frame slots: the largest per-node demand sum.
 
-    Enumerating maximum-weight cliques is exponential; this uses the cliques
-    induced by each topology node (all links incident to one node mutually
-    conflict under any k >= 1 model), which is cheap and usually tight on
-    mesh topologies.
+    Reads only the demands, never ``conflicts``: the links incident to one
+    node share a radio, so they pairwise conflict in every relation the
+    kernel builds (its ``E E^T`` term) and form a clique whose demands
+    must occupy disjoint slots.  :func:`conflict_clique_demand` grows
+    these cliques on the relation itself.
     """
     per_node: dict[int, int] = {}
     for link, demand in demands.items():
@@ -362,3 +366,55 @@ def max_conflict_clique_demand(conflicts: ConflictIndex | nx.Graph,
         for node in link:
             per_node[node] = per_node.get(node, 0) + demand
     return max(per_node.values(), default=0)
+
+
+def conflict_clique_demand(conflicts: ConflictIndex | nx.Graph,
+                           demands: Mapping[Link, int]) -> int:
+    """A lower bound on frame slots: a demand-weighted clique of the relation.
+
+    Links in a clique pairwise conflict, so their blocks are disjoint
+    inside any conflict-free region, which therefore spans at least the
+    clique's total demand.  One clique is grown per topology node over
+    the links with positive demand: seeded with the node's incident links
+    (the :func:`max_conflict_clique_demand` clique, so this bound is at
+    least that one), then extended greedily on the CSR -- the candidates
+    are the links conflicting with every member (sorted rows intersected),
+    and the heaviest joins, ties to the lowest canonical position, until
+    none is left.  Returns the heaviest clique's demand (0 when nothing is
+    demanded).  A demanded link outside ``conflicts`` conflicts with
+    nothing, so a clique holding it does not grow.
+    """
+    index = as_index(conflicts)
+    indptr, indices = index.indptr, index.indices
+    weight = np.zeros(index.num_links, dtype=np.int64)
+    seed_demand: dict[int, int] = {}
+    seed_rows: dict[int, list[np.ndarray]] = {}
+    for link, demand in demands.items():
+        if demand < 0:
+            raise ConfigurationError(f"negative demand on {link}")
+        if demand == 0:
+            continue
+        position = index._positions.get(link)
+        if position is None:
+            row = indices[:0]
+        else:
+            row = indices[indptr[position]:indptr[position + 1]]
+            weight[position] = demand
+        for node in link:
+            seed_demand[node] = seed_demand.get(node, 0) + demand
+            seed_rows.setdefault(node, []).append(row)
+    best = 0
+    for node, rows in seed_rows.items():
+        # links in every member's row: one count over the rows' union
+        union, counts = np.unique(np.concatenate(rows), return_counts=True)
+        candidates = union[counts == len(rows)]
+        candidates = candidates[weight[candidates] > 0]
+        total = seed_demand[node]
+        while candidates.size:
+            pick = candidates[np.argmax(weight[candidates])]
+            total += int(weight[pick])
+            candidates = np.intersect1d(
+                candidates, indices[indptr[pick]:indptr[pick + 1]],
+                assume_unique=True)
+        best = max(best, total)
+    return best

@@ -83,6 +83,7 @@ from repro.core.conflict import (
     ConflictIndex,
     as_index,
     checked_links,
+    conflict_clique_demand,
     link_relation,
     protocol_reach,
     protocol_relation,
@@ -616,9 +617,12 @@ class SolverEngine:
                    node_limit_per_probe: Optional[int] = None):
         """The probe loop behind :func:`~repro.core.minslots.minimum_slots`.
 
-        Identical search structure and probe log as the pre-engine code;
-        the only additions are the warm-start shortcut inside ``probe``
-        and the canonical re-solve of a BF-certified winner.  Callers go
+        Both searches start from :func:`~repro.core.conflict.
+        conflict_clique_demand` (reported as ``lower_bound``): every
+        smaller region is infeasible, so the skipped probes could only
+        have failed.  On top of the paper's search sit the warm-start
+        shortcut inside ``probe`` and the canonical re-solve of a
+        BF-certified winner.  Callers go
         through :func:`repro.core.minslots.minimum_slots`, which owns the
         argument validation and search-level telemetry.
 
@@ -629,10 +633,13 @@ class SolverEngine:
         verdict regardless of machine load -- which is what keeps zoned
         solves bitwise-identical between serial and parallel runs.
         """
-        from repro.core.minslots import MinSlotResult, demand_lower_bound
+        from repro.core.minslots import MinSlotResult
 
         conflicts = as_index(conflicts)
-        lower = max(1, demand_lower_bound(conflicts, demands))
+        # Every region below the heaviest conflict clique is infeasible, so
+        # no probe starts lower (the clique bound dominates
+        # :func:`~repro.core.minslots.demand_lower_bound`).
+        lower = max(1, conflict_clique_demand(conflicts, demands))
         probes: list[tuple[int, bool]] = []
         carried: Optional[TransmissionOrder] = (
             warm_order if self.warm_start else None)

@@ -13,7 +13,10 @@ pure function of ``(policy.seed, site, key, k)``.  The same chaos
 schedule therefore hits the same tasks in the same way regardless of
 worker count, dispatch order, or how many other tasks run alongside --
 which is what lets experiment E22 demand *bitwise identical* sweep
-tables under chaos, serial or parallel.
+tables under chaos, serial or parallel.  The pool passes
+:func:`~repro.runtime.tasks.task_identity` as ``key``: the task's
+target, params and seed without the source fingerprint, so E22's fault
+columns stay put across source edits.
 
 The robustness contract the policy exists to prove:
 

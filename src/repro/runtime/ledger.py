@@ -53,7 +53,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.runtime.tasks import Task, TaskResult
+from repro.runtime.tasks import Task, TaskResult, task_identity
 
 #: Ledger filename used by default inside the cache directory.
 DEFAULT_LEDGER_NAME = "ledger.jsonl"
@@ -391,8 +391,8 @@ class RunLedger:
         if result.error:
             entry["error"] = result.error
         torn = False
-        if chaos is not None and chaos.ledger_torn(result.key,
-                                                   result.attempts):
+        if chaos is not None and chaos.ledger_torn(
+                task_identity(result.task), result.attempts):
             torn = True
             obs.counter("runtime.chaos.torn_ledger_writes").inc()
         self._backend.append(entry, torn=torn)

@@ -70,6 +70,7 @@ from repro.runtime.tasks import (
     TaskResult,
     classify_error,
     run_task,
+    task_identity,
     task_key,
 )
 
@@ -125,7 +126,7 @@ def _run_task_observed(task: Task, collect_metrics: bool,
 
 def _worker_execute(task: Task, collect_metrics: bool = False,
                     chaos: Optional[ChaosPolicy] = None,
-                    key: str = "", attempt: int = 1) -> dict:
+                    chaos_key: str = "", attempt: int = 1) -> dict:
     """Run one task in a worker; always returns (never raises) so the
     parent gets wall time and worker identity even for failures.
 
@@ -139,7 +140,7 @@ def _worker_execute(task: Task, collect_metrics: bool = False,
     started = time.perf_counter()
     try:
         if chaos is not None:
-            chaos.apply_before_task(key, attempt, in_worker=True)
+            chaos.apply_before_task(chaos_key, attempt, in_worker=True)
         value, metrics = _run_task_observed(task, collect_metrics)
         return {"ok": True, "value": value, "metrics": metrics,
                 "pid": os.getpid(),
@@ -161,6 +162,12 @@ class _Attempt:
     attempt: int  # 1-based
     eligible_at: float  # monotonic time before which it must not start
     enqueued_at: float = 0.0  # monotonic time the task first queued
+
+    @property
+    def chaos_key(self) -> str:
+        """What chaos decisions are drawn on: the fingerprint-free
+        :func:`~repro.runtime.tasks.task_identity`."""
+        return task_identity(self.task)
 
 
 def run_tasks(tasks: Sequence[Task], *,
@@ -291,7 +298,8 @@ def _store(cache: ResultCache, result: TaskResult,
     the computed value is already in memory, so a sick filesystem must
     not fail the task.
     """
-    action = chaos.cache_action(result.key) if chaos is not None else None
+    action = (chaos.cache_action(task_identity(result.task))
+              if chaos is not None else None)
     try:
         if action == "enospc":
             obs.counter("runtime.chaos.enospc").inc()
@@ -346,12 +354,12 @@ def _run_serial(pending: deque[_Attempt], retries: int, backoff_s: float,
             attempt += 1
             started = time.perf_counter()
             queue_s = clock() - item.enqueued_at
-            _note_injection(chaos, item.key, attempt)
+            _note_injection(chaos, item.chaos_key, attempt)
             if ledger is not None:
                 ledger.start(item.task, item.key, worker="serial")
             try:
                 if chaos is not None:
-                    chaos.apply_before_task(item.key, attempt,
+                    chaos.apply_before_task(item.chaos_key, attempt,
                                             in_worker=False, sleep=sleep)
                 value, metrics = _run_task_observed(item.task,
                                                     collect_metrics, trace)
@@ -423,13 +431,13 @@ def _run_parallel(pending: deque[_Attempt], jobs: int,
                 while pending and capacity > 0 and \
                         pending[0].eligible_at <= now:
                     item = pending.popleft()
-                    _note_injection(chaos, item.key, item.attempt,
+                    _note_injection(chaos, item.chaos_key, item.attempt,
                                     noted_injections)
                     if ledger is not None:
                         ledger.start(item.task, item.key)
                     future = executor.submit(_worker_execute, item.task,
                                              collect_metrics, chaos,
-                                             item.key, item.attempt)
+                                             item.chaos_key, item.attempt)
                     running[future] = (item, clock())
                     capacity -= 1
 
@@ -533,7 +541,7 @@ def _run_parallel(pending: deque[_Attempt], jobs: int,
                 obs.counter("runtime.pool.pool_restarts").inc()
                 crashed = {id(item) for item in victims
                            if chaos is not None and
-                           chaos.task_action(item.key,
+                           chaos.task_action(item.chaos_key,
                                              item.attempt) == "crash"}
                 if not crashed:
                     # No injected culprit identified: a real crash.

@@ -165,21 +165,32 @@ def make_task(target: TargetLike,
                 seed=None if seed is None else int(seed), fn=fn)
 
 
+def _digest(payload: dict) -> str:
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 def task_key(task: Task, *, version: Optional[str] = None,
              fingerprint: Optional[str] = None) -> str:
     """Stable 16-hex-digit content hash of ``(task, code state)``."""
     import repro
 
-    payload = {
-        "target": task.target,
-        "params": _jsonify(dict(task.params)),
-        "seed": task.seed,
+    return _digest({
+        **task.spec(),
         "version": version if version is not None else repro.__version__,
         "fingerprint": (fingerprint if fingerprint is not None
                         else source_fingerprint()),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    })
+
+
+def task_identity(task: Task) -> str:
+    """Stable 16-hex-digit hash of the task alone (:meth:`Task.spec`).
+
+    Unlike :func:`task_key` it leaves the code state out, so a task keeps
+    its identity across source edits; runtime chaos decisions are drawn
+    on it, the cache and the ledger stay on :func:`task_key`.
+    """
+    return _digest(task.spec())
 
 
 def resolve_target(task: Task) -> Callable:

@@ -2,14 +2,22 @@
 
 import pytest
 
+from repro import obs
+from repro.analysis.scenarios import delay_constraints_for, make_voip_flows
 from repro.core.conflict import (
+    conflict_clique_demand,
     conflict_degree,
     conflict_graph,
     conflicting_pairs,
     max_conflict_clique_demand,
 )
+from repro.core.engine import SolverEngine
+from repro.core.minslots import minimum_slots
 from repro.errors import ConfigurationError
-from repro.net.topology import chain_topology, star_topology
+from repro.mesh16.frame import default_frame_config
+from repro.net.topology import chain_topology, grid_topology, star_topology
+from repro.sim.random import RngRegistry
+from repro.traffic.voip import G729
 
 
 class TestOneHopModel:
@@ -118,6 +126,71 @@ class TestCliqueDemandBound:
         conflicts = conflict_graph(topo, hops=2)
         demands = {(0, 1): 1, (0, 2): 2, (0, 3): 1}
         assert max_conflict_clique_demand(conflicts, demands) == 4
+
+
+class TestConflictCliqueDemand:
+    # on a 2-hop chain (0,1), (1,2) and (2,3) pairwise conflict, but no
+    # node touches more than two of them
+    CHAIN = {(0, 1): 3, (1, 2): 3, (2, 3): 3}
+
+    def test_grows_past_the_node_clique(self, chain5):
+        conflicts = conflict_graph(chain5, hops=2)
+        assert max_conflict_clique_demand(conflicts, self.CHAIN) == 6
+        assert conflict_clique_demand(conflicts, self.CHAIN) == 9
+
+    def test_only_demanded_links_join(self, chain5):
+        conflicts = conflict_graph(chain5, hops=2)
+        demands = {(0, 1): 3, (1, 2): 3, (2, 3): 0, (3, 2): 1}
+        # (3, 2) conflicts with both; (2, 3) would too but carries nothing
+        assert conflict_clique_demand(conflicts, demands) == 7
+
+    def test_one_hop_model_is_the_node_bound(self, chain5):
+        conflicts = conflict_graph(chain5, hops=1)
+        assert conflict_clique_demand(conflicts, self.CHAIN) == 6
+
+    def test_link_outside_the_index_does_not_grow(self, chain5):
+        conflicts = conflict_graph(chain5, hops=2, links=[(1, 2), (2, 3)])
+        # (0, 1) is not indexed: it conflicts with nothing the index knows
+        assert conflict_clique_demand(conflicts, self.CHAIN) == 6
+
+    def test_empty_and_negative_demands(self, chain5):
+        conflicts = conflict_graph(chain5, hops=2)
+        assert conflict_clique_demand(conflicts, {}) == 0
+        assert conflict_clique_demand(conflicts, {(0, 1): 0}) == 0
+        with pytest.raises(ConfigurationError):
+            conflict_clique_demand(conflicts, {(0, 1): -1})
+
+    def test_clique_over_the_frame_is_refused_without_a_solve(self, chain5):
+        conflicts = SolverEngine().conflict_index(chain5, hops=2,
+                                                  links=self.CHAIN)
+        with obs.use_registry(obs.MetricsRegistry()) as registry:
+            result = minimum_slots(conflicts, self.CHAIN, 8)
+        assert result.slots is None
+        assert result.probes == []
+        assert result.lower_bound == 9 > 8
+        assert "core.ilp.solves" not in registry.snapshot()["counters"]
+
+    def test_e10_3x4_search_starts_at_the_optimum(self):
+        # E10's largest row (seed 23): the node bound is 9, the optimum 12
+        frame = default_frame_config()
+        topology = grid_topology(3, 4)
+        flows = make_voip_flows(topology, 6, RngRegistry(seed=23),
+                                codec=G729, gateway=0, delay_budget_s=0.1)
+        demands = flows.link_demands(frame.frame_duration_s,
+                                     frame.data_slot_capacity_bits)
+        engine = SolverEngine(warm_start=False, max_indexes=0,
+                              max_problems=0)
+        conflicts = engine.conflict_index(topology, hops=2,
+                                          links=demands.keys())
+        assert max_conflict_clique_demand(conflicts, demands) == 9
+        with obs.use_registry(obs.MetricsRegistry()) as registry:
+            result = minimum_slots(
+                conflicts, demands, frame.data_slots,
+                delay_constraints=delay_constraints_for(flows, frame),
+                search="linear", engine=engine)
+        assert result.probes == [(12, True)]
+        assert result.lower_bound == 12
+        assert registry.snapshot()["counters"]["core.ilp.solves"] == 1
 
 
 class TestDegenerateHopsGuard:

@@ -9,7 +9,8 @@ and the invariants must hold at *any* draw:
   the policy says it hits, with the injected error on record -- never a
   silently wrong value;
 - the injection schedule is a pure function of (seed, key, attempt):
-  recomputing it gives the same decisions in any order.
+  recomputing it gives the same decisions in any order; the key is the
+  task's fingerprint-free identity, so source edits move no decision.
 """
 
 import json
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.runtime.chaos import ChaosPolicy
 from repro.runtime.pool import run_tasks
-from repro.runtime.tasks import make_task, task_key
+from repro.runtime.tasks import make_task, task_identity
 
 PROBE = "repro.runtime.chaos:chaos_probe"
 
@@ -73,7 +74,7 @@ def test_fatal_chaos_fails_exactly_the_predicted_tasks(intensity, seed):
     out = run_tasks(TASKS, jobs=1, retries=0, chaos=chaos,
                     clock=fake.clock, sleep=fake.sleep)
     for result in out:
-        action = chaos.task_action(task_key(result.task), 1)
+        action = chaos.task_action(task_identity(result.task), 1)
         if action is None:
             assert result.outcome == "ok"
         elif action == "hang":

@@ -12,20 +12,29 @@ on a conflict graph and on ``as_index(graph)``, whatever order the
 graph's nodes and edges were inserted in.
 """
 
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import milp
 
-from repro.core.conflict import as_index, conflict_graph, conflicting_pairs
+from repro.core.conflict import (
+    as_index,
+    conflict_clique_demand,
+    conflict_graph,
+    conflicting_pairs,
+    max_conflict_clique_demand,
+)
 from repro.core.engine import SolverEngine, canonical_problem_key
 from repro.core.greedy import greedy_schedule
 from repro.core.ilp import SchedulingProblem, solve_schedule_ilp
 from repro.core.minslots import minimum_slots
 from repro.core.ordering import TransmissionOrder, schedule_from_order
 from repro.core.schedule import Schedule, SlotBlock
-from repro.errors import InfeasibleScheduleError
+from repro.errors import InfeasibleScheduleError, SolverError
 from repro.mesh16.frame import default_frame_config
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import route_all
@@ -138,16 +147,14 @@ def _scrambled(graph, rng):
     return scrambled
 
 
-@st.composite
-def conflict_instances(draw):
-    """A conflict graph (of a random disk, or hand-built) plus demands."""
-    seed = draw(st.integers(min_value=0, max_value=10_000))
+def conflict_instance(seed, disk_nodes=None, hops=2):
+    """A conflict graph plus demands: of a ``disk_nodes``-node random disk
+    at ``hops``, or hand-built (``disk_nodes=None``), all from ``seed``."""
     rng = np.random.default_rng(seed)
-    if draw(st.booleans()):
-        topology = random_disk_topology(
-            draw(st.integers(min_value=3, max_value=7)), radio_range=45.0,
-            area=80.0, seed=seed)
-        graph = conflict_graph(topology, hops=draw(st.sampled_from([1, 2])))
+    if disk_nodes is not None:
+        topology = random_disk_topology(disk_nodes, radio_range=45.0,
+                                        area=80.0, seed=seed)
+        graph = conflict_graph(topology, hops=hops)
     else:
         links = sorted({(int(a), int(b))
                         for a, b in rng.integers(0, 6, size=(9, 2))
@@ -160,6 +167,17 @@ def conflict_instances(draw):
     links = sorted(graph.nodes)
     demands = {link: int(rng.integers(0, 3)) for link in links}
     return _scrambled(graph, rng), demands, rng
+
+
+@st.composite
+def conflict_instances(draw):
+    """A conflict graph (of a random disk, or hand-built) plus demands."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if draw(st.booleans()):
+        return conflict_instance(
+            seed, draw(st.integers(min_value=3, max_value=7)),
+            draw(st.sampled_from([1, 2])))
+    return conflict_instance(seed)
 
 
 def _same_schedule(a, b):
@@ -222,17 +240,76 @@ def test_graph_and_index_agree_on_every_consumer(instance):
     assert len(keys) == 1
 
 
+def _with_shared_radios(graph):
+    """``graph`` plus a conflict between every two links sharing a node:
+    the ``E E^T`` part of every kernel-built relation, on which the node
+    seeds of both clique bounds rest."""
+    shared = graph.copy()
+    links = sorted(graph.nodes)
+    shared.add_edges_from((a, b) for i, a in enumerate(links)
+                          for b in links[i + 1:] if set(a) & set(b))
+    return shared
+
+
 @given(conflict_instances())
+@settings(max_examples=40, deadline=None)
+def test_clique_bound_sits_between_the_node_bound_and_greedy(instance):
+    graph, demands, rng = instance
+    forms = (graph, as_index(graph), _scrambled(graph, rng))
+    bounds = [conflict_clique_demand(form, demands) for form in forms]
+    assert bounds[1:] == bounds[:-1]
+    assert bounds[0] >= max_conflict_clique_demand(graph, demands)
+    # a valid lower bound wherever links sharing a radio conflict
+    shared = _with_shared_radios(graph)
+    assert (conflict_clique_demand(shared, demands)
+            <= greedy_schedule(shared, demands).frame_slots)
+
+
+#: Branch-and-cut node budget per ILP solve.  Deterministic, so the three
+#: forms of one instance reach the same verdict; bounded, so a hard draw
+#: ends undecided in well under a second instead of running for minutes.
+ILP_NODE_LIMIT = 200
+
+
+def _budgeted_solve(problem):
+    """``(result, or None when undecided; formulation sizes sent to HiGHS)``."""
+    sizes = []
+
+    def spy(**kwargs):
+        sizes.append((len(kwargs["integrality"]),
+                      sum(c.A.shape[0] for c in kwargs["constraints"])))
+        return milp(**kwargs)
+
+    with mock.patch("repro.core.ilp.milp", spy):
+        try:
+            return solve_schedule_ilp(problem,
+                                      node_limit=ILP_NODE_LIMIT), sizes
+        except SolverError:
+            return None, sizes
+
+
+@given(conflict_instances())
+# decided under the budget on every hypothesis seed
+@example(conflict_instance(4, 5, hops=1))    # feasible, 85 variables
+@example(conflict_instance(35, 5, hops=1))   # feasible, 66 variables
+@example(conflict_instance(1, 7))            # infeasible, 77 variables
+@example(conflict_instance(16))              # hand-built, feasible
+@example(conflict_instance(49))              # hand-built, infeasible
 @settings(max_examples=10, deadline=None)
 def test_graph_and_index_agree_on_the_ilp(instance):
     graph, demands, rng = instance
     forms = (graph, as_index(graph), _scrambled(graph, rng))
     total = sum(demands.values())
-    results = [solve_schedule_ilp(SchedulingProblem(
+    solved = [_budgeted_solve(SchedulingProblem(
         form, demands, total + 2, region_slots=max(2, total // 2)))
         for form in forms]
-    first = results[0]
-    for other in results[1:]:
+    first, first_sizes = solved[0]
+    for other, sizes in solved[1:]:
+        # one formulation, decided or not
+        assert sizes == first_sizes
+        assert (other is None) == (first is None)
+        if first is None:
+            continue
         assert other.feasible == first.feasible
         assert (other.num_variables, other.num_constraints) == (
             first.num_variables, first.num_constraints)

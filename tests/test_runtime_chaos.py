@@ -120,6 +120,36 @@ def test_serial_chaos_within_budget_is_bitwise_identical(tmp_path):
     assert len(ledger.entries()) == len(tasks)
 
 
+def test_chaos_decisions_ignore_the_source_fingerprint(tmp_path):
+    """A source edit moves every cache/ledger key but no chaos decision:
+    faults are drawn on the task's fingerprint-free identity."""
+    tasks = probe_tasks()
+    chaos = ChaosPolicy.at_intensity(1.0, seed=4, max_attempt=2)
+
+    def run(fingerprint):
+        fake = FakeTime()
+        with obs.use_registry(obs.MetricsRegistry()) as registry:
+            out = run_tasks(
+                tasks, jobs=1, retries=3, retry_timeouts=True, chaos=chaos,
+                cache=ResultCache(tmp_path / fingerprint,
+                                  fingerprint=fingerprint),
+                ledger=RunLedger(tmp_path / f"{fingerprint}.jsonl"),
+                clock=fake.clock, sleep=fake.sleep)
+        counters = {name: value for name, value
+                    in registry.snapshot()["counters"].items()
+                    if name.startswith("runtime.chaos.")}
+        return out, counters
+
+    first, first_counters = run("a" * 16)
+    second, second_counters = run("b" * 16)
+    assert all(a.key != b.key for a, b in zip(first, second))
+    assert ([(r.outcome, r.attempts) for r in first]
+            == [(r.outcome, r.attempts) for r in second])
+    assert first_counters == second_counters
+    assert sum(first_counters.values()) > 0
+    assert any(r.attempts > 1 for r in first)
+
+
 def test_fatal_chaos_fails_loudly_with_ledger_trail(tmp_path):
     tasks = probe_tasks(4)
     chaos = ChaosPolicy(seed=1, crash_rate=1.0, max_attempt=3)
